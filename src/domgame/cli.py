@@ -34,8 +34,8 @@ def _build_parser():
     p.add_argument("--vertex-cap", type=int, default=None,
                    help="solver refusal threshold (env DOMGAME_CAP also works)")
     p.add_argument("--memo-limit", type=int, default=None)
-    p.add_argument("--no-pruning", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for sweeps, 1..CPU count")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--output", default=None, help="write report here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
@@ -89,19 +89,25 @@ def _build_parser():
 
 
 def _config(args) -> SolverConfig:
-    cfg = SolverConfig()
+    """Validate every resource limit before any command does work."""
+    limits = {}
     env_cap = os.environ.get("DOMGAME_CAP")
     if env_cap is not None:
         try:
-            cfg.vertex_cap = int(env_cap)
+            limits["vertex_cap"] = int(env_cap)
         except ValueError:
             raise UsageError(f"DOMGAME_CAP is not a decimal integer: {env_cap!r}")
     if args.vertex_cap is not None:
-        cfg.vertex_cap = args.vertex_cap
+        limits["vertex_cap"] = args.vertex_cap
     if args.memo_limit is not None:
-        cfg.memo_limit = args.memo_limit
-    cfg.pruning = not args.no_pruning
-    return cfg
+        limits["memo_limit"] = args.memo_limit
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise UsageError(f"--workers must lie in 1..{cpus}, got {args.workers}")
+    try:
+        return SolverConfig(**limits)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _load(path: str) -> PartiallyDominatedGraph:

@@ -217,7 +217,7 @@ def parse_edge_list(text: str) -> PartiallyDominatedGraph:
             raise GraphError(f"bad dominated line {lines[-1]!r}") from None
     if len(body) != m:
         raise GraphError(f"header promises {m} edges, found {len(body)}")
-    edges = []
+    edges = set()
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -228,7 +228,9 @@ def parse_edge_list(text: str) -> PartiallyDominatedGraph:
             raise GraphError(f"non-numeric edge line {ln!r}") from None
         if not u < v:
             raise GraphError(f"edge line {ln!r} violates u < v")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise GraphError(f"repeated edge line {ln!r}")
+        edges.add((u, v))
     g = make_graph(n, edges)
     if dominated & ~g.full_mask:
         raise GraphError("dominated ids out of range")
@@ -275,6 +277,8 @@ def from_graph6(line: str) -> Graph:
     bitstream = []
     for c in codes[1:]:
         bitstream.extend((c >> k) & 1 for k in range(5, -1, -1))
+    if any(bitstream[n * (n - 1) // 2:]):
+        raise GraphError(f"nonzero graph6 padding bits in {line!r}")
     edges = []
     i = 0
     for v in range(1, n):

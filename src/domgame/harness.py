@@ -89,9 +89,9 @@ def _orbit(edge_set, perms):
 
 
 def _solve_edge_set(args):
-    base, edge_set, cfg_tuple = args
-    cfg = SolverConfig(*cfg_tuple)
-    return Solver(add_edges(base, edge_set), cfg).game_value()
+    base, edge_set, cfg = args
+    solver = Solver(add_edges(base, edge_set), cfg)
+    return solver.game_value(), solver.states_explored
 
 
 def _run_jobs(fn, jobs, workers):
@@ -140,9 +140,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
             reps.append(es)
             orbit_of[es] = [es]
 
-    cfg_tuple = (cfg.pruning, cfg.memo_limit, cfg.vertex_cap)
-    values = _run_jobs(_solve_edge_set,
-                       [(g, es, cfg_tuple) for es in reps], workers)
+    results = _run_jobs(_solve_edge_set, [(g, es, cfg) for es in reps], workers)
 
     bound = -(-n // 2)
     histogram = {}
@@ -150,7 +148,9 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     witnesses = []
     violations = []
     total = 0
-    for es, value in zip(reps, values):
+    states = 0
+    for es, (value, explored) in zip(reps, results):
+        states += explored
         mult = len(orbit_of[es])
         total += mult
         histogram[value] = histogram.get(value, 0) + mult
@@ -173,7 +173,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         max_value=max_value,
         witnesses=witnesses,
         wall_time=time.perf_counter() - t0,
-        solver_stats={"instances_solved": len(reps)},
+        solver_stats={"instances_solved": len(reps), "states_explored": states},
         ok=not violations,
     )
     if violations:
@@ -187,8 +187,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
 # ---------------------------------------------------------------------------
 
 def _sweep_one(args):
-    spec, cfg_tuple = args
-    cfg = SolverConfig(*cfg_tuple)
+    spec, cfg = args
     lg = generate(spec)
     solver = Solver(lg.graph, cfg)
     gg = solver.game_value(lg.dominated)
@@ -202,8 +201,7 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     specs = list(specs)
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    cfg_tuple = (cfg.pruning, cfg.memo_limit, cfg.vertex_cap)
-    results = _run_jobs(_sweep_one, [(s, cfg_tuple) for s in specs], workers)
+    results = _run_jobs(_sweep_one, [(s, cfg) for s in specs], workers)
 
     rows = []
     mismatches = []
@@ -428,6 +426,17 @@ def _random_submask(rng, mask):
     return out
 
 
+def _minimax(g: Graph, s: int, dom: bool, memo: dict) -> int:
+    """Plain minimax over every legal move, memoized on (state, turn) but
+    with no bounds and no move order: the reference for search-soundness."""
+    if s == g.full_mask:
+        return 0
+    if (s, dom) not in memo:
+        values = [_minimax(g, s | r, not dom, memo) for r in g.closed if r & ~s]
+        memo[s, dom] = 1 + (min(values) if dom else max(values))
+    return memo[s, dom]
+
+
 def property_suite(seed: int, trials: int, *,
                    config: SolverConfig | None = None) -> ExperimentReport:
     """Run the randomized solver invariants with a fixed seed.
@@ -497,19 +506,18 @@ def property_suite(seed: int, trials: int, *,
             failed += 1
     record("gamma-sandwich", failed)
 
-    # Move pruning must not change any value.
+    # The bounded search must agree with plain minimax, from empty and
+    # partially dominated starts.
     failed = 0
-    on = SolverConfig(pruning=True, memo_limit=cfg.memo_limit,
-                      vertex_cap=cfg.vertex_cap)
-    off = SolverConfig(pruning=False, memo_limit=cfg.memo_limit,
-                       vertex_cap=cfg.vertex_cap)
     for _ in range(trials):
-        n = rng.randint(2, 11)
+        n = rng.randint(2, 9)
         g = random_graph(rng, n, rng.uniform(0.2, 0.6))
+        dominated = _random_submask(rng, g.full_mask) if rng.random() < 0.5 else 0
         turn = rng.choice(list(Turn))
-        if Solver(g, on).game_value(0, turn) != Solver(g, off).game_value(0, turn):
+        value = Solver(g, cfg).game_value(dominated, turn)
+        if value != _minimax(g, dominated, turn is Turn.DOMINATOR, {}):
             failed += 1
-    record("pruning-soundness", failed)
+    record("search-soundness", failed)
 
     # Evidence search: an edge whose removal drops the game value by two.
     drops = []

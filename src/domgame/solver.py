@@ -1,9 +1,10 @@
 """Exact domination game solver.
 
-Memoized adversarial search over dominated-vertex bitmasks.  Dominator
-minimizes and Staller maximizes the total number of moves; every move
-must newly dominate at least one vertex.  State is (dominated set, turn)
-for a fixed graph, so the memo tables key on the raw bit word.
+Dominator minimizes and Staller maximizes the total number of moves; every
+move must newly dominate at least one vertex.  A game value is the least k
+for which "does the game from this (dominated bitmask, turn) end within k
+moves?" holds, answered by alpha-beta with a per-turn table of (lo, hi)
+bounds kept across queries: MTD(f)'s memory-enhanced test (Plaat et al. 1996).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .graph import MAX_VERTICES, Graph, bits
 
 
 class Turn(enum.Enum):
@@ -24,13 +25,14 @@ class Turn(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    pruning: bool = True
     memo_limit: int = 4_000_000
     vertex_cap: int = 26
 
     def __post_init__(self):
-        if self.memo_limit <= 0:
-            raise ValueError("memo_limit must be positive")
+        if self.memo_limit < 1:
+            raise ValueError(f"memo_limit {self.memo_limit} is below 1")
+        if not 1 <= self.vertex_cap <= MAX_VERTICES:
+            raise ValueError(f"vertex_cap {self.vertex_cap} outside 1..{MAX_VERTICES}")
 
 
 class MemoLimitExceeded(RuntimeError):
@@ -46,46 +48,8 @@ def legal_moves(g: Graph, dominated: int) -> int:
     return sum(1 << v for v in range(g.n) if g.closed[v] & ~dominated)
 
 
-def _search(rows, full, s, dom, memo_d, memo_s, prune, limit):
-    if s == full:
-        return 0
-    memo = memo_d if dom else memo_s
-    hit = memo.get(s)
-    if hit is not None:
-        return hit
-    succ = {s | r for r in rows}
-    succ.discard(s)
-    # Dominator tries big gains first, Staller small ones; the sort also
-    # feeds the subset filter below.
-    order = sorted(succ, key=int.bit_count, reverse=dom)
-    if prune and len(order) > 1:
-        # Continuation Principle: a successor set that is contained in
-        # another is never better for Dominator, never worse for Staller.
-        keep = []
-        if dom:
-            for t in order:
-                if not any(t | u == u for u in keep):
-                    keep.append(t)
-        else:
-            for t in order:
-                if not any(t & u == u for u in keep):
-                    keep.append(t)
-        order = keep
-    if dom:
-        best = min(_search(rows, full, t, False, memo_d, memo_s, prune, limit)
-                   for t in order)
-    else:
-        best = max(_search(rows, full, t, True, memo_d, memo_s, prune, limit)
-                   for t in order)
-    value = 1 + best
-    memo[s] = value
-    if len(memo_d) + len(memo_s) > limit:
-        raise MemoLimitExceeded(f"memo table exceeded {limit} entries")
-    return value
-
-
 class Solver:
-    """One graph, two memo tables (one per turn).  Not thread-shared."""
+    """One graph, two bounds tables (one per turn).  Not thread-shared."""
 
     def __init__(self, graph: Graph, config: SolverConfig | None = None):
         self.graph = graph
@@ -93,21 +57,57 @@ class Solver:
         if graph.n > self.config.vertex_cap:
             raise VertexCapExceeded(
                 f"graph order {graph.n} exceeds solver cap {self.config.vertex_cap}")
-        self._memo_d = {}
-        self._memo_s = {}
+        self._full = graph.full_mask
+        self._table_d = {}
+        self._table_s = {}
 
     @property
     def states_explored(self) -> int:
-        return len(self._memo_d) + len(self._memo_s)
+        return len(self._table_d) + len(self._table_s)
 
     def game_value(self, dominated: int = 0, turn: Turn = Turn.DOMINATOR) -> int:
-        g = self.graph
-        if dominated & ~g.full_mask:
+        if dominated & ~self._full:
             raise ValueError("dominated set contains ids outside the graph")
-        return _search(g.closed, g.full_mask, dominated,
-                       turn is Turn.DOMINATOR,
-                       self._memo_d, self._memo_s,
-                       self.config.pruning, self.config.memo_limit)
+        dom = turn is Turn.DOMINATOR
+        k = 0
+        while not self._test(dominated, dom, k):
+            k = (self._table_d if dom else self._table_s)[dominated][0]
+        return k
+
+    def _test(self, s: int, dom: bool, k: int) -> bool:
+        """Whether the game from s (Dominator to move iff dom) ends within
+        k moves.  Stores the tightened (lo, hi) of s: lo > k after a fail."""
+        if s == self._full:
+            return k >= 0
+        table, child = ((self._table_d, self._table_s) if dom
+                        else (self._table_s, self._table_d))
+        bounds = table.get(s)
+        if bounds is not None and not bounds[0] <= k < bounds[1]:
+            return k >= bounds[1]
+        # Dominator tries big gains first, Staller small ones.
+        order = sorted({s | r for r in self.graph.closed} - {s},
+                       key=int.bit_count, reverse=dom)
+        if bounds is None:
+            # Every move dominates at least one undominated vertex and at
+            # most the largest gain available now; gains only shrink.
+            undominated = (self._full & ~s).bit_count()
+            gain = order[0 if dom else -1].bit_count() - s.bit_count()
+            bounds = (-(-undominated // gain), undominated)
+        lo, hi = bounds
+        if lo <= k < hi:
+            # First look for a child whose stored bounds already answer
+            # (an unstored child reads as (0, k), which answers neither).
+            if dom:
+                ok = (any(child.get(t, (0, k))[1] < k for t in order)
+                      or any(self._test(t, False, k - 1) for t in order))
+            else:
+                ok = (all(child.get(t, (0, k))[0] < k for t in order)
+                      and all(self._test(t, True, k - 1) for t in order))
+            lo, hi = (lo, k) if ok else (k + 1, hi)
+        table[s] = (lo, hi)
+        if len(table) + len(child) > self.config.memo_limit:
+            raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
+        return k >= hi
 
     def value_with_forced_first_move(self, v: int, dominated: int = 0,
                                      turn: Turn = Turn.DOMINATOR) -> int:

@@ -19,6 +19,15 @@ def naive_game_value(g: Graph, dominated: int = 0, dominator_turn: bool = True) 
     return min(vals) if dominator_turn else max(vals)
 
 
+def naive_optimal_first_moves(g: Graph, dominated: int = 0,
+                              dominator_turn: bool = True) -> int:
+    """Bitmask of the legal first moves whose naive score is optimal."""
+    scores = {v: 1 + naive_game_value(g, dominated | g.closed[v], not dominator_turn)
+              for v in range(g.n) if g.closed[v] & ~dominated}
+    best = min(scores.values()) if dominator_turn else max(scores.values())
+    return sum(1 << v for v, score in scores.items() if score == best)
+
+
 def naive_domination_number(g: Graph) -> int:
     """Smallest dominating set by exhaustive subset enumeration."""
     full = g.full_mask

@@ -198,7 +198,7 @@ def test_criterion_9_property_suites():
     r = harness.property_suite(seed=20260823, trials=500)
     by_name = {row["property"]: row for row in r.rows}
     for prop in ("continuation-principle", "union-bound",
-                 "gamma-sandwich", "pruning-soundness"):
+                 "gamma-sandwich", "search-soundness"):
         assert by_name[prop]["trials"] >= 500
         assert by_name[prop]["failures"] == 0, prop
     _report(9, "seeded property suites, 500 trials each", t0)

@@ -66,6 +66,35 @@ class TestSolve:
         assert code == 2
 
 
+class TestLimits:
+    """Resource limits are checked before any command writes output;
+    `family --solve` prints its header lines before it solves."""
+
+    FAMILY = ("family", "path", "n=11", "--solve")
+
+    @pytest.mark.parametrize("argv", [
+        ("--memo-limit", "-5"),
+        ("--vertex-cap", "0"),
+        ("--workers", "0"),
+    ])
+    def test_bad_limit_exits_2_silently(self, argv):
+        code, out = run_cli(*argv, *self.FAMILY)
+        assert (code, out) == (2, "")
+
+    def test_env_cap_above_graph_capacity(self, monkeypatch):
+        monkeypatch.setenv("DOMGAME_CAP", "100")
+        code, out = run_cli(*self.FAMILY)
+        assert (code, out) == (2, "")
+
+    def test_workers_bounded_by_cpu_count(self, monkeypatch):
+        # `family` starts no pool, so no worker process is created.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, out = run_cli("--workers", "4", *self.FAMILY)
+        assert (code, out) == (2, "")
+        code, out = run_cli("--workers", "3", *self.FAMILY)
+        assert code == 0 and "gamma_g = 5" in out
+
+
 class TestGamma:
     def test_p7(self, tmp_path):
         lg = generate(FamilySpec("path", {"n": 7}))

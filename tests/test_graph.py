@@ -173,6 +173,11 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             parse_edge_list("3 1\n1 0\n")
 
+    def test_rejects_repeated_edge(self):
+        # Collapsing the repeat would write the graph back as "3 2".
+        with pytest.raises(GraphError, match="repeated edge"):
+            parse_edge_list("3 3\n0 1\n1 2\n0 1\n")
+
 
 class TestGraph6:
     @given(random_graph_strategy())
@@ -192,3 +197,9 @@ class TestGraph6:
     def test_header_accepted(self):
         g = cycle_graph(4)
         assert from_graph6(">>graph6<<" + to_graph6(g)) == g
+
+    def test_rejects_nonzero_padding(self):
+        # n = 3 uses 3 of the 6 body bits; "~" sets all six.
+        assert from_graph6("Bw") == make_graph(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(GraphError, match="padding"):
+            from_graph6("B~")

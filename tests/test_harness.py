@@ -123,7 +123,7 @@ class TestPropertySuite:
         assert r.ok
         names = [row["property"] for row in r.rows]
         assert names == ["continuation-principle", "union-bound",
-                         "gamma-sandwich", "pruning-soundness",
+                         "gamma-sandwich", "search-soundness",
                          "edge-removal-drop-2-evidence"]
 
     def test_seeded_reproducible(self):

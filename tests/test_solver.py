@@ -11,7 +11,8 @@ from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
 from domgame.oracle import union_lemma_bound, PiecePrimeKind
 from domgame.graph import disjoint_union
 
-from helpers import naive_domination_number, naive_game_value
+from helpers import (naive_domination_number, naive_game_value,
+                     naive_optimal_first_moves)
 
 
 def _random_graph(rng, n, p):
@@ -152,15 +153,20 @@ class TestSolverInvariants:
             for turn in Turn:
                 assert s.game_value(a, turn) <= s.game_value(b, turn)
 
-    def test_pruning_soundness(self):
+    def test_search_matches_naive_oracles(self):
+        # Partially dominated starts, both turns, one solver per graph so
+        # the second turn's queries run against the tables the first left.
         rng = random.Random(23)
         for _ in range(60):
-            n = rng.randint(2, 9)
+            n = rng.randint(2, 7)
             g = _random_graph(rng, n, rng.uniform(0.2, 0.6))
-            for turn in Turn:
-                on = game_value(g, 0, turn, SolverConfig(pruning=True))
-                off = game_value(g, 0, turn, SolverConfig(pruning=False))
-                assert on == off
+            start = mask_of(v for v in range(n) if rng.random() < 0.3)
+            s = Solver(g)
+            for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
+                assert s.game_value(start, turn) == naive_game_value(g, start, dom)
+                if start != g.full_mask:
+                    assert (s.optimal_first_moves(start, turn)
+                            == naive_optimal_first_moves(g, start, dom))
 
     def test_gamma_sandwich(self):
         rng = random.Random(31)
@@ -179,18 +185,20 @@ class TestSolverInvariants:
             gg = game_value(g)
             assert 1 <= gg <= n
 
-    def test_memo_matches_fresh_resolve(self):
-        # Value independence of move history: any state reachable during a
-        # solve gets the same value when solved from scratch.
+    def test_table_bounds_bracket_naive_value(self):
+        # Every (lo, hi) stored on either turn's table holds the state's
+        # exact value, whatever line of play first reached the state.
         rng = random.Random(53)
         for _ in range(10):
-            g = _random_graph(rng, 7, 0.4)
+            g = _random_graph(rng, 9, 0.3)
             s = Solver(g)
             s.game_value()
-            for state, value in list(s._memo_d.items())[:20]:
-                assert Solver(g).game_value(state) == value
-            for state, value in list(s._memo_s.items())[:20]:
-                assert Solver(g).game_value(state, Turn.STALLER) == value
+            s.game_value(0, Turn.STALLER)
+            entries = ([(state, bounds, True) for state, bounds in s._table_d.items()]
+                       + [(state, bounds, False) for state, bounds in s._table_s.items()])
+            assert len(entries) >= 20 and s._table_d and s._table_s
+            for state, (lo, hi), dom in entries:
+                assert lo <= naive_game_value(g, state, dom) <= hi
 
     def test_union_lemma_bound(self):
         rng = random.Random(61)
