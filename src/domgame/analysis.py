@@ -120,16 +120,12 @@ class ConjectureRow:
     holds: bool
     is_half_graph: bool
 
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "params": self.params,
-            "n": self.n,
-            "gamma_g": self.gamma_g,
-            "bound": self.bound,
-            "holds": self.holds,
-            "is_half_graph": self.is_half_graph,
-        }
+    @classmethod
+    def of(cls, family: str, params: str, n: int, gamma_g: int) -> "ConjectureRow":
+        """The row of a solved graph of order n against the bound ceil(n/2)."""
+        bound = -(-n // 2)
+        return cls(family, params, n, gamma_g, bound,
+                   gamma_g <= bound, gamma_g == bound)
 
 
 def check_half_conjecture(g: Graph, config: SolverConfig | None = None,
@@ -141,7 +137,4 @@ def check_half_conjecture(g: Graph, config: SolverConfig | None = None,
     exists, _ = has_hamiltonian_path(g)
     if not exists:
         raise ValueError("graph is not traceable")
-    gg = Solver(g, config).game_value()
-    bound = -(-g.n // 2)
-    return ConjectureRow(family, params, g.n, gg, bound,
-                        gg <= bound, gg == bound)
+    return ConjectureRow.of(family, params, g.n, Solver(g, config).game_value())

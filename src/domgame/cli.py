@@ -23,6 +23,18 @@ from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
 DESK_CAPS = {("path", 2): 14, ("path", 3): 12, ("cycle", 2): 14, ("cycle", 3): 12}
 FULL_CAPS = {("path", 2): 21, ("path", 3): 15, ("cycle", 2): 24, ("cycle", 3): 20}
 
+# Sweepable families and the specs each one sweeps, from the parsed options.
+_SWEEPS = {
+    "tadpole": lambda a: harness.tadpole_specs(a.max_order or 20),
+    "two-tailed-tadpole": lambda a: harness.two_tailed_specs(a.max_order or 18),
+    "hatted-cycle": lambda a: harness.hatted_cycle_specs(a.lo, a.hi or 21),
+    "broken-ladder": lambda a: harness.broken_ladder_specs(a.k_max),
+    "cycle-chord": lambda a: harness.cycle_chord_specs(a.max_order or 18),
+    "fx": lambda a: harness.random_fx_specs(a.count, a.seed, a.max_order or 18),
+    "r-graph": lambda a: harness.r_graph_specs(
+        [int(s) for s in (a.n or "2,3,4").split(",")]),
+}
+
 
 class UsageError(Exception):
     pass
@@ -57,9 +69,7 @@ def _build_parser():
     s.add_argument("--solve", action="store_true")
 
     s = sub.add_parser("sweep", help="solve a family over a parameter range")
-    s.add_argument("name", choices=("tadpole", "two-tailed-tadpole",
-                                    "hatted-cycle", "broken-ladder",
-                                    "cycle-chord", "fx", "r-graph"))
+    s.add_argument("name", choices=tuple(_SWEEPS))
     s.add_argument("--max-order", type=int, default=None)
     s.add_argument("--from", dest="lo", type=int, default=4)
     s.add_argument("--to", dest="hi", type=int, default=None)
@@ -207,6 +217,7 @@ def _cmd_family(args, cfg, out):
         lg = generate(spec)
     except GraphError as exc:
         raise UsageError(str(exc))
+    solver = Solver(lg.graph, cfg) if args.solve else None
     out.write(f"family = {spec.describe()}\n")
     out.write(f"n = {lg.graph.n}\n")
     out.write(f"m = {lg.graph.edge_count}\n")
@@ -215,31 +226,15 @@ def _cmd_family(args, cfg, out):
             fh.write(format_edge_list(lg.partial))
         out.write(f"emitted = {args.emit}\n")
     if args.solve:
-        value = Solver(lg.graph, cfg).game_value(lg.dominated)
+        value = solver.game_value(lg.dominated)
         out.write(f"gamma_g = {value}\n")
     return 0
 
 
 def _cmd_sweep(args, cfg, out):
-    name = args.name
-    if name == "tadpole":
-        specs = harness.tadpole_specs(args.max_order or 20)
-    elif name == "two-tailed-tadpole":
-        specs = harness.two_tailed_specs(args.max_order or 18)
-    elif name == "hatted-cycle":
-        specs = harness.hatted_cycle_specs(args.lo, args.hi or 21)
-    elif name == "broken-ladder":
-        specs = harness.broken_ladder_specs(args.k_max)
-    elif name == "cycle-chord":
-        specs = harness.cycle_chord_specs(args.max_order or 18)
-    elif name == "fx":
-        specs = harness.random_fx_specs(args.count, args.seed,
-                                        args.max_order or 18)
-    else:
-        values = [int(s) for s in (args.n or "2,3,4").split(",")]
-        specs = harness.r_graph_specs(values)
-    report = harness.sweep_family(specs, config=cfg, workers=args.workers,
-                                  name=f"sweep-{name}")
+    report = harness.sweep_family(_SWEEPS[args.name](args), config=cfg,
+                                  workers=args.workers,
+                                  name=f"sweep-{args.name}")
     return _emit_report(report, args, out)
 
 
@@ -253,6 +248,9 @@ def _cmd_add_edges(args, cfg, out):
         except KeyError:
             raise UsageError(f"no default range for base={args.base} k={args.k}; "
                              "pass --n explicitly")
+        if cap > cfg.vertex_cap:
+            raise VertexCapExceeded(
+                f"order {cap} exceeds solver cap {cfg.vertex_cap}")
         if args.full:
             out.write(f"warning = full range up to n={cap}; this can take hours\n")
         orders = list(range(4, cap + 1))

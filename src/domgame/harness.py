@@ -13,14 +13,15 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import oracle
 from .analysis import ConjectureRow
 from .families import FamilySpec, generate, path_graph, cycle_graph
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
                     disjoint_union, is_connected, make_graph, non_edges)
-from .solver import Solver, SolverConfig, Turn, domination_number
+from .solver import (Solver, SolverConfig, Turn, VertexCapExceeded,
+                     domination_number)
 
 CSV_HEADER = "family,params,n,gamma_g,bound,holds,is_half_graph"
 
@@ -64,6 +65,31 @@ def _row_sort_key(row: dict):
 
 
 # ---------------------------------------------------------------------------
+# Batch solving: every sweep goes through _solve_all
+# ---------------------------------------------------------------------------
+
+def _sweep_one(args):
+    graph, dominated, cfg = args
+    solver = Solver(graph, cfg)
+    return solver.game_value(dominated), solver.states_explored
+
+
+def _solve_all(instances, cfg, workers):
+    """(value, states explored) of every (graph, dominated) pair, in input
+    order.  Every order is checked against the vertex cap before the
+    first solve, so an over-cap sweep fails before it does any work."""
+    jobs = [(graph, dominated, cfg) for graph, dominated in instances]
+    order = max((graph.n for graph, _, _ in jobs), default=0)
+    if order > cfg.vertex_cap:
+        raise VertexCapExceeded(
+            f"graph order {order} exceeds solver cap {cfg.vertex_cap}")
+    if workers <= 1:
+        return [_sweep_one(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_one, jobs, chunksize=64))
+
+
+# ---------------------------------------------------------------------------
 # Edge-addition sweeps
 # ---------------------------------------------------------------------------
 
@@ -84,23 +110,6 @@ def _apply_perm(edge_set, perm):
                         for u, v in edge_set))
 
 
-def _orbit(edge_set, perms):
-    return {_apply_perm(edge_set, p) for p in perms}
-
-
-def _solve_edge_set(args):
-    base, edge_set, cfg = args
-    solver = Solver(add_edges(base, edge_set), cfg)
-    return solver.game_value(), solver.states_explored
-
-
-def _run_jobs(fn, jobs, workers):
-    if workers <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=64))
-
-
 def enumerate_edge_additions(base: str, n: int, k: int, *,
                              config: SolverConfig | None = None,
                              symmetry: bool = True,
@@ -118,29 +127,25 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         raise ValueError("need at least one edge to add")
     cfg = config or SolverConfig()
     if n > cfg.vertex_cap:
-        raise ValueError(f"order {n} exceeds solver cap {cfg.vertex_cap}")
+        raise VertexCapExceeded(f"order {n} exceeds solver cap {cfg.vertex_cap}")
     t0 = time.perf_counter()
     g = path_graph(n) if base == "path" else cycle_graph(n)
     perms = _path_perms(n) if base == "path" else _cycle_perms(n)
-    candidates = non_edges(g)
+    if not symmetry:
+        perms = perms[:1]   # the identity: every orbit is one edge set
 
-    reps = []       # canonical representatives, in first-seen order
-    orbit_of = {}
+    # Combinations come in lexicographic order, so each orbit is met first
+    # at its least member, which is the edge set solved for it.
+    orbits = []
     seen = set()
-    for combo in itertools.combinations(candidates, k):
-        es = tuple(sorted(combo))
-        if symmetry:
-            if es in seen:
-                continue
-            orb = _orbit(es, perms)
-            seen.update(orb)
-            reps.append(es)
-            orbit_of[es] = sorted(orb)
-        else:
-            reps.append(es)
-            orbit_of[es] = [es]
+    for combo in itertools.combinations(non_edges(g), k):
+        if combo not in seen:
+            orbit = sorted({_apply_perm(combo, p) for p in perms})
+            seen.update(orbit)
+            orbits.append(orbit)
 
-    results = _run_jobs(_solve_edge_set, [(g, es, cfg) for es in reps], workers)
+    results = _solve_all([(add_edges(g, orbit[0]), 0) for orbit in orbits],
+                         cfg, workers)
 
     bound = -(-n // 2)
     histogram = {}
@@ -149,19 +154,17 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     violations = []
     total = 0
     states = 0
-    for es, (value, explored) in zip(reps, results):
+    for orbit, (value, explored) in zip(orbits, results):
         states += explored
-        mult = len(orbit_of[es])
-        total += mult
-        histogram[value] = histogram.get(value, 0) + mult
+        total += len(orbit)
+        histogram[value] = histogram.get(value, 0) + len(orbit)
         if value > max_value:
             max_value = value
             witnesses = []
         if value == max_value:
-            witnesses.extend([list(e) for e in member]
-                             for member in orbit_of[es])
+            witnesses.extend([list(e) for e in member] for member in orbit)
         if value > bound:
-            violations.extend(orbit_of[es])
+            violations.extend(orbit)
     witnesses.sort()
     rows = [{"gamma_g": v, "count": c} for v, c in sorted(histogram.items())]
     report = ExperimentReport(
@@ -173,7 +176,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         max_value=max_value,
         witnesses=witnesses,
         wall_time=time.perf_counter() - t0,
-        solver_stats={"instances_solved": len(reps), "states_explored": states},
+        solver_stats={"instances_solved": len(orbits), "states_explored": states},
         ok=not violations,
     )
     if violations:
@@ -186,14 +189,6 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
 # Family sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_one(args):
-    spec, cfg = args
-    lg = generate(spec)
-    solver = Solver(lg.graph, cfg)
-    gg = solver.game_value(lg.dominated)
-    return gg, solver.states_explored
-
-
 def sweep_family(specs, *, config: SolverConfig | None = None,
                  workers: int = 1, name: str = "family-sweep") -> ExperimentReport:
     """Solve every instance, check the half-order bound, and compare the
@@ -201,18 +196,17 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     specs = list(specs)
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    results = _run_jobs(_sweep_one, [(s, cfg) for s in specs], workers)
+    graphs = [generate(spec) for spec in specs]
+    results = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
+                         cfg, workers)
 
     rows = []
     mismatches = []
     states = 0
-    for spec, (gg, explored) in zip(specs, results):
+    for spec, lg, (gg, explored) in zip(specs, graphs, results):
         states += explored
-        n = generate(spec).graph.n
-        bound = -(-n // 2)
-        row = ConjectureRow(spec.family, spec.describe(), n, gg, bound,
-                            gg <= bound, gg == bound)
-        rows.append(row.as_dict())
+        rows.append(asdict(ConjectureRow.of(spec.family, spec.describe(),
+                                            lg.graph.n, gg)))
         try:
             known = oracle.known_family_value(spec)
         except ValueError:
@@ -305,15 +299,12 @@ def check_r_equality(n_max: int, *, config: SolverConfig | None = None) -> Exper
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    rows = []
-    for n in range(2, n_max + 1):
-        order = 4 * n + 3
-        if order > cfg.vertex_cap:
-            raise ValueError(f"R-graph order {order} exceeds solver cap")
-        lg = generate(FamilySpec("r-graph", {"n": n}))
-        gg = Solver(lg.graph, cfg).game_value()
-        rows.append({"n": n, "order": order, "gamma_g": gg,
-                     "target": 2 * n + 2, "equality": gg == 2 * n + 2})
+    ns = range(2, n_max + 1)
+    graphs = [generate(spec).graph for spec in r_graph_specs(ns)]
+    results = _solve_all([(g, 0) for g in graphs], cfg, 1)
+    rows = [{"n": n, "order": g.n, "gamma_g": gg, "target": 2 * n + 2,
+             "equality": gg == 2 * n + 2}
+            for n, g, (gg, _) in zip(ns, graphs, results)]
     return ExperimentReport(
         name="r-graph-equality",
         parameters={"n_max": n_max},

@@ -106,6 +106,10 @@ class Solver:
             lo, hi = (lo, k) if ok else (k + 1, hi)
         table[s] = (lo, hi)
         if len(table) + len(child) > self.config.memo_limit:
+            # Start empty after a failure, so the next query on this
+            # Solver does not fail on its first store.
+            self._table_d.clear()
+            self._table_s.clear()
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -105,8 +106,11 @@ class TestConjectureCheck:
             check_half_conjecture(star)
 
     def test_holds_flag_consistency(self):
-        row = ConjectureRow("path", "n=9", 9, 5, 5, True, True)
-        assert row.as_dict()["holds"] == (row.gamma_g <= row.bound)
+        for gg in (4, 5, 6):
+            row = asdict(ConjectureRow.of("path", "n=9", 9, gg))
+            assert row["bound"] == 5
+            assert row["holds"] == (gg <= 5)
+            assert row["is_half_graph"] == (gg == 5)
 
     def test_random_traceable_unicyclic_hold(self):
         rng = random.Random(3)

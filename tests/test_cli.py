@@ -67,18 +67,21 @@ class TestSolve:
 
 
 class TestLimits:
-    """Resource limits are checked before any command writes output;
-    `family --solve` prints its header lines before it solves."""
+    """Resource limits, the vertex cap included, are checked before any
+    command writes output."""
 
     FAMILY = ("family", "path", "n=11", "--solve")
 
     @pytest.mark.parametrize("argv", [
-        ("--memo-limit", "-5"),
-        ("--vertex-cap", "0"),
-        ("--workers", "0"),
+        ("--memo-limit", "-5", *FAMILY),
+        ("--vertex-cap", "0", *FAMILY),
+        ("--workers", "0", *FAMILY),
+        # Over the cap: orders 4..6 of the range fit, 7..14 do not.
+        ("--vertex-cap", "6", "add-edges", "--base", "path", "--k", "2"),
+        ("family", "path", "n=30", "--solve"),
     ])
     def test_bad_limit_exits_2_silently(self, argv):
-        code, out = run_cli(*argv, *self.FAMILY)
+        code, out = run_cli(*argv)
         assert (code, out) == (2, "")
 
     def test_env_cap_above_graph_capacity(self, monkeypatch):

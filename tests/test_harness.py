@@ -3,9 +3,39 @@ import json
 import pytest
 
 from domgame import harness
-from domgame.families import FamilySpec, path_graph
+from domgame.families import FamilySpec, generate, path_graph
 from domgame.graph import add_edges
-from domgame.solver import game_value
+from domgame.solver import SolverConfig, VertexCapExceeded, game_value
+
+
+class TestSolveAll:
+    @pytest.mark.parametrize("sweep", [
+        # Hatted cycles of order 5..13: the first seven fit under the cap.
+        lambda cfg: harness.sweep_family(harness.hatted_cycle_specs(4, 12),
+                                         config=cfg),
+        # R-graphs of order 11, 15, ..., 27: only the first fits.
+        lambda cfg: harness.check_r_equality(6, config=cfg),
+        lambda cfg: harness.enumerate_edge_additions("path", 12, 2,
+                                                     config=cfg),
+    ], ids=["sweep_family", "check_r_equality", "enumerate_edge_additions"])
+    def test_cap_checked_before_first_solve(self, sweep, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_sweep_one", calls.append)
+        with pytest.raises(VertexCapExceeded):
+            sweep(SolverConfig(vertex_cap=11))
+        assert calls == []
+
+    def test_sweep_family_generates_each_spec_once(self, monkeypatch):
+        calls = []
+
+        def counting_generate(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(harness, "generate", counting_generate)
+        specs = harness.hatted_cycle_specs(4, 9)
+        harness.sweep_family(specs)
+        assert calls == specs
 
 
 class TestEnumerateEdgeAdditions:
@@ -97,7 +127,6 @@ class TestCheckREquality:
         assert r.ok
 
     def test_cap_guard(self):
-        from domgame.solver import SolverConfig
         with pytest.raises(ValueError):
             harness.check_r_equality(6, config=SolverConfig(vertex_cap=20))
 

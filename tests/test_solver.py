@@ -68,6 +68,13 @@ class TestGameValue:
         with pytest.raises(MemoLimitExceeded):
             game_value(cycle_graph(16), config=SolverConfig(memo_limit=5))
 
+    def test_solver_usable_after_memo_limit(self):
+        solver = Solver(path_graph(14), SolverConfig(memo_limit=50))
+        with pytest.raises(MemoLimitExceeded):
+            solver.game_value()
+        # One undominated vertex left: one move ends the game.
+        assert solver.game_value(solver.graph.full_mask & ~1) == 1
+
 
 class TestOptimalFirstMoves:
     def test_r11_every_vertex_optimal(self):
