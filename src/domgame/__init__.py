@@ -6,9 +6,7 @@ from .graph import (Graph, PartiallyDominatedGraph, GraphError, make_graph,
                     is_connected, bits, mask_of, format_edge_list,
                     parse_edge_list, to_graph6, from_graph6, MAX_VERTICES)
 from .solver import (Turn, Solver, SolverConfig, MemoLimitExceeded,
-                     VertexCapExceeded, game_value, legal_moves,
-                     optimal_first_moves, value_with_forced_first_move,
-                     domination_number)
+                     VertexCapExceeded, legal_moves, domination_number)
 from .oracle import (QuarterWeight, PiecePrimeKind, KnownValue, weight,
                      path_cycle_gamma_g, partial_path_values,
                      union_lemma_bound, tadpole_table_row, two_tailed_table,

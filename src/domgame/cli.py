@@ -8,6 +8,8 @@ mismatch, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 
@@ -40,6 +42,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="domgame",
                                 description="Exact domination game toolkit")
@@ -49,7 +52,7 @@ def _build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for sweeps, 1..CPU count")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--output", default=None, help="write report here instead of stdout")
+    p.add_argument("--output", default=None, help="write output here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="game value of a graph file")
@@ -179,11 +182,7 @@ def _emit_report(report, args, out):
             lines.append(f"witness = {w}")
         lines.append(f"wall_time = {report.wall_time:.3f}")
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    out.write(text)
     return 0 if report.ok else 1
 
 
@@ -207,7 +206,7 @@ def _cmd_solve(args, cfg, out):
 
 def _cmd_gamma(args, cfg, out):
     pdg = _load(args.file)
-    out.write(f"gamma = {domination_number(pdg.graph, cfg.vertex_cap)}\n")
+    out.write(f"gamma = {domination_number(pdg.graph, cfg)}\n")
     return 0
 
 
@@ -218,12 +217,13 @@ def _cmd_family(args, cfg, out):
     except GraphError as exc:
         raise UsageError(str(exc))
     solver = Solver(lg.graph, cfg) if args.solve else None
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(format_edge_list(lg.partial))
     out.write(f"family = {spec.describe()}\n")
     out.write(f"n = {lg.graph.n}\n")
     out.write(f"m = {lg.graph.edge_count}\n")
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(format_edge_list(lg.partial))
         out.write(f"emitted = {args.emit}\n")
     if args.solve:
         value = solver.game_value(lg.dominated)
@@ -248,11 +248,10 @@ def _cmd_add_edges(args, cfg, out):
         except KeyError:
             raise UsageError(f"no default range for base={args.base} k={args.k}; "
                              "pass --n explicitly")
-        if cap > cfg.vertex_cap:
-            raise VertexCapExceeded(
-                f"order {cap} exceeds solver cap {cfg.vertex_cap}")
+        cfg.check_order(cap)
         if args.full:
-            out.write(f"warning = full range up to n={cap}; this can take hours\n")
+            print(f"warning: full range up to n={cap}; this can take hours",
+                  file=sys.stderr)
         orders = list(range(4, cap + 1))
     status = 0
     for n in orders:
@@ -290,15 +289,16 @@ _COMMANDS = {
 
 
 def run(argv=None, out=None) -> int:
-    out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
         cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg, out)
+        sink = (open(args.output, "w", encoding="utf-8") if args.output
+                else contextlib.nullcontext(out or sys.stdout))
+        with sink as fh:
+            return _COMMANDS[args.command](args, cfg, fh)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

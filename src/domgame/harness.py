@@ -20,8 +20,7 @@ from .analysis import ConjectureRow
 from .families import FamilySpec, generate, path_graph, cycle_graph
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
                     disjoint_union, is_connected, make_graph, non_edges)
-from .solver import (Solver, SolverConfig, Turn, VertexCapExceeded,
-                     domination_number)
+from .solver import Solver, SolverConfig, Turn, domination_number
 
 CSV_HEADER = "family,params,n,gamma_g,bound,holds,is_half_graph"
 
@@ -39,18 +38,8 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "parameters": self.parameters,
-            "ok": self.ok,
-            "max_value": self.max_value,
-            "witnesses": self.witnesses,
-            "wall_time": self.wall_time,
-            "solver_stats": self.solver_stats,
-            "notes": self.notes,
-            "rows": self.rows,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        # vars, not asdict: the fields as they are, without a deep copy.
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -79,10 +68,7 @@ def _solve_all(instances, cfg, workers):
     order.  Every order is checked against the vertex cap before the
     first solve, so an over-cap sweep fails before it does any work."""
     jobs = [(graph, dominated, cfg) for graph, dominated in instances]
-    order = max((graph.n for graph, _, _ in jobs), default=0)
-    if order > cfg.vertex_cap:
-        raise VertexCapExceeded(
-            f"graph order {order} exceeds solver cap {cfg.vertex_cap}")
+    cfg.check_order(max((graph.n for graph, _, _ in jobs), default=0))
     if workers <= 1:
         return [_sweep_one(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -126,8 +112,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     if k < 1:
         raise ValueError("need at least one edge to add")
     cfg = config or SolverConfig()
-    if n > cfg.vertex_cap:
-        raise VertexCapExceeded(f"order {n} exceeds solver cap {cfg.vertex_cap}")
+    cfg.check_order(n)
     t0 = time.perf_counter()
     g = path_graph(n) if base == "path" else cycle_graph(n)
     perms = _path_perms(n) if base == "path" else _cycle_perms(n)
@@ -263,6 +248,9 @@ def cycle_chord_specs(max_n: int):
 
 def random_fx_specs(count: int, seed: int, max_order: int):
     """Seeded random instances of the traceable-core attachment family."""
+    if max_order < 5:
+        raise ValueError(f"fx max order must be at least 5 (x needs 2 vertices, "
+                         f"the tail 3), got {max_order}")
     rng = random.Random(seed)
     from .analysis import has_hamiltonian_path
     specs = []
@@ -491,7 +479,7 @@ def property_suite(seed: int, trials: int, *,
     for _ in range(trials):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.uniform(0.25, 0.6), connected=True)
-        gamma = domination_number(g)
+        gamma = domination_number(g, cfg)
         gg = Solver(g, cfg).game_value()
         if not gamma <= gg <= 2 * gamma - 1:
             failed += 1

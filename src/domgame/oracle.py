@@ -29,10 +29,6 @@ class QuarterWeight:
     def ceil(self) -> int:
         return -(-self.quarters // 4)
 
-    @property
-    def value(self) -> float:
-        return self.quarters / 4
-
 
 _WEIGHT_QUARTERS_BY_RESIDUE = (0, 4, 6, 7)  # 0, 1, 3/2, 7/4
 

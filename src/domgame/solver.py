@@ -34,6 +34,12 @@ class SolverConfig:
         if not 1 <= self.vertex_cap <= MAX_VERTICES:
             raise ValueError(f"vertex_cap {self.vertex_cap} outside 1..{MAX_VERTICES}")
 
+    def check_order(self, n: int) -> None:
+        """Refuse a graph of order n before any work is done on it."""
+        if n > self.vertex_cap:
+            raise VertexCapExceeded(
+                f"graph order {n} exceeds solver cap {self.vertex_cap}")
+
 
 class MemoLimitExceeded(RuntimeError):
     pass
@@ -54,9 +60,7 @@ class Solver:
     def __init__(self, graph: Graph, config: SolverConfig | None = None):
         self.graph = graph
         self.config = config or SolverConfig()
-        if graph.n > self.config.vertex_cap:
-            raise VertexCapExceeded(
-                f"graph order {graph.n} exceeds solver cap {self.config.vertex_cap}")
+        self.config.check_order(graph.n)
         self._full = graph.full_mask
         self._table_d = {}
         self._table_s = {}
@@ -122,40 +126,17 @@ class Solver:
 
     def optimal_first_moves(self, dominated: int = 0,
                             turn: Turn = Turn.DOMINATOR) -> int:
-        g = self.graph
-        moves = legal_moves(g, dominated)
+        moves = legal_moves(self.graph, dominated)
         if not moves:
             raise ValueError("no legal moves: state is fully dominated")
         target = self.game_value(dominated, turn)
-        out = 0
-        for v in bits(moves):
-            if 1 + self.game_value(dominated | g.closed[v], turn.other()) == target:
-                out |= 1 << v
-        return out
+        return sum(1 << v for v in bits(moves)
+                   if self.value_with_forced_first_move(v, dominated, turn) == target)
 
 
-def game_value(g: Graph, dominated: int = 0, turn: Turn = Turn.DOMINATOR,
-               config: SolverConfig | None = None) -> int:
-    return Solver(g, config).game_value(dominated, turn)
-
-
-def optimal_first_moves(g: Graph, dominated: int = 0,
-                        turn: Turn = Turn.DOMINATOR,
-                        config: SolverConfig | None = None) -> int:
-    return Solver(g, config).optimal_first_moves(dominated, turn)
-
-
-def value_with_forced_first_move(g: Graph, v: int, dominated: int = 0,
-                                 turn: Turn = Turn.DOMINATOR,
-                                 config: SolverConfig | None = None) -> int:
-    return Solver(g, config).value_with_forced_first_move(v, dominated, turn)
-
-
-def domination_number(g: Graph, vertex_cap: int = 26) -> int:
+def domination_number(g: Graph, config: SolverConfig | None = None) -> int:
     """Exact domination number by branch and bound on undominated vertices."""
-    if g.n > vertex_cap:
-        raise VertexCapExceeded(
-            f"graph order {g.n} exceeds cap {vertex_cap}")
+    (config or SolverConfig()).check_order(g.n)
     if g.n == 0:
         return 0
     full = g.full_mask

@@ -10,7 +10,7 @@ from domgame.families import (FamilySpec, generate, halin_dominating_set,
                               path_graph, cycle_graph)
 from domgame.oracle import (PiecePrimeKind, partial_path_values,
                             path_cycle_gamma_g)
-from domgame.solver import Solver, Turn, domination_number, game_value
+from domgame.solver import Solver, Turn, domination_number
 
 
 def _report(number, label, started):
@@ -20,9 +20,9 @@ def _report(number, label, started):
 def test_criterion_1_path_cycle_closed_forms():
     t0 = time.perf_counter()
     for n in range(1, 19):
-        assert game_value(path_graph(n)) == path_cycle_gamma_g(n, "path"), n
+        assert Solver(path_graph(n)).game_value() == path_cycle_gamma_g(n, "path"), n
     for n in range(3, 19):
-        assert game_value(cycle_graph(n)) == path_cycle_gamma_g(n, "cycle"), n
+        assert Solver(cycle_graph(n)).game_value() == path_cycle_gamma_g(n, "cycle"), n
     assert time.perf_counter() - t0 < 60
     _report(1, "path/cycle closed forms, n <= 18", t0)
 
@@ -43,7 +43,7 @@ def test_criterion_2_dominated_path_piece_formulas():
 
 def test_criterion_3_p11_edge_addition_example():
     t0 = time.perf_counter()
-    assert game_value(path_graph(11)) == 5
+    assert Solver(path_graph(11)).game_value() == 5
 
     one = harness.enumerate_edge_additions("path", 11, 1)
     assert one.max_value == 5
@@ -79,13 +79,13 @@ def test_criterion_5_family_sweeps():
     t0 = time.perf_counter()
     for k in range(0, 4):
         lg = generate(FamilySpec("broken-ladder", {"k": k}))
-        assert game_value(lg.graph) == 2 * (k + 2), k
+        assert Solver(lg.graph).game_value() == 2 * (k + 2), k
 
     hc = harness.sweep_family(harness.hatted_cycle_specs(4, 21))
     assert hc.ok and not hc.notes  # notes would list oracle disagreements
     for n in range(4, 22):
         lg = generate(FamilySpec("hatted-cycle", {"n": n}))
-        assert game_value(lg.graph) == path_cycle_gamma_g(n, "cycle"), n
+        assert Solver(lg.graph).game_value() == path_cycle_gamma_g(n, "cycle"), n
 
     tad = harness.sweep_family(harness.tadpole_specs(20))
     assert tad.ok and len(tad.rows) > 0
@@ -93,7 +93,7 @@ def test_criterion_5_family_sweeps():
     tt = harness.sweep_family(harness.two_tailed_specs(18))
     assert tt.ok
     lg = generate(FamilySpec("two-tailed-tadpole", {"m": 4, "n": 4, "k": 4}))
-    assert game_value(lg.graph) == 6
+    assert Solver(lg.graph).game_value() == 6
 
     chords = harness.sweep_family(harness.cycle_chord_specs(18))
     assert chords.ok
@@ -126,7 +126,7 @@ def test_criterion_7_halin():
 
     h233 = generate(FamilySpec("halin", {"k": 2, "d": [3, 3]}))
     assert domination_number(h233.graph) <= 3
-    assert game_value(h233.graph) < 13 / 2 - 1
+    assert Solver(h233.graph).game_value() < 13 / 2 - 1
 
     # boundary case is reported, not asserted
     wheel = halin_dominating_set(1, [3])
@@ -177,13 +177,12 @@ def _is_two_packing(graph, vertices):
 
 def test_criterion_8_r_graphs():
     t0 = time.perf_counter()
-    from domgame.solver import optimal_first_moves
     for n in (2, 3, 4):
         lg = generate(FamilySpec("r-graph", {"n": n}))
-        assert game_value(lg.graph) <= 2 * n + 2, n
+        assert Solver(lg.graph).game_value() <= 2 * n + 2, n
 
     r11 = generate(FamilySpec("r-graph", {"n": 2}))
-    assert optimal_first_moves(r11.graph) == r11.graph.full_mask
+    assert Solver(r11.graph).optimal_first_moves() == r11.graph.full_mask
 
     evidence = harness.check_r_equality(4)
     assert evidence.ok

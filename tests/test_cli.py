@@ -89,6 +89,19 @@ class TestLimits:
         code, out = run_cli(*self.FAMILY)
         assert (code, out) == (2, "")
 
+    def test_full_warning_goes_to_stderr(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "FULL_CAPS", {("path", 2): 5})
+        code, out = run_cli("--format", "json", "add-edges", "--base", "path",
+                            "--k", "2", "--full")
+        assert code == 0
+        assert out.startswith("{")
+        assert "full range up to n=5" in capsys.readouterr().err
+
+    def test_fx_max_order_below_5(self, capsys):
+        code, out = run_cli("sweep", "fx", "--max-order", "4")
+        assert (code, out) == (2, "")
+        assert "fx max order must be at least 5" in capsys.readouterr().err
+
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
         # `family` starts no pool, so no worker process is created.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -137,6 +150,10 @@ class TestFamily:
         code, _ = run_cli("family", "tadpole", "m=2", "n=1")
         assert code == 2
 
+    def test_unwritable_emit_prints_nothing(self):
+        code, out = run_cli("family", "path", "n=5", "--emit", "/nonexistent/x.el")
+        assert (code, out) == (2, "")
+
     def test_inline_solve(self):
         code, out = run_cli("family", "broken-ladder", "k=1", "--solve")
         assert code == 0
@@ -168,6 +185,23 @@ class TestReports:
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert doc["max_value"] <= 5
+
+    def test_output_holds_every_add_edges_report(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.DESK_CAPS, ("path", 2), 6)
+        out_file = tmp_path / "reports.txt"
+        code, out = run_cli("--output", str(out_file),
+                            "add-edges", "--base", "path", "--k", "2")
+        assert (code, out) == (0, "")
+        text = out_file.read_text()
+        assert text.count("experiment = ") == 3
+        assert [line for line in text.splitlines() if line.startswith("n = ")] \
+            == ["n = 4", "n = 5", "n = 6"]
+
+    def test_output_applies_to_solve(self, tmp_path, p11_file):
+        out_file = tmp_path / "solve.txt"
+        code, out = run_cli("--output", str(out_file), "solve", p11_file)
+        assert (code, out) == (0, "")
+        assert "gamma_g = 5" in out_file.read_text()
 
     def test_sweep_csv(self):
         code, out = run_cli("--format", "csv", "sweep", "broken-ladder",

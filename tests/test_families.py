@@ -4,7 +4,7 @@ from domgame.analysis import has_hamiltonian_path
 from domgame.families import (FamilySpec, generate, halin_dominating_set,
                               hatted_cycle_equivalent_cycle_value, path_graph)
 from domgame.graph import GraphError, add_edges, bits, make_graph, mask_of
-from domgame.solver import game_value
+from domgame.solver import Solver
 
 
 def spec(family, **params):
@@ -99,7 +99,7 @@ class TestHattedCycle:
     def test_equivalent_value_matches_solver_small(self):
         for n in range(4, 10):
             lg = generate(spec("hatted-cycle", n=n))
-            assert game_value(lg.graph) == hatted_cycle_equivalent_cycle_value(n)
+            assert Solver(lg.graph).game_value() == hatted_cycle_equivalent_cycle_value(n)
 
 
 class TestBrokenLadder:

@@ -5,7 +5,7 @@ import pytest
 from domgame import harness
 from domgame.families import FamilySpec, generate, path_graph
 from domgame.graph import add_edges
-from domgame.solver import SolverConfig, VertexCapExceeded, game_value
+from domgame.solver import Solver, SolverConfig, VertexCapExceeded
 
 
 class TestSolveAll:
@@ -69,7 +69,7 @@ class TestEnumerateEdgeAdditions:
         r = harness.enumerate_edge_additions("path", 10, 2)
         for witness in r.witnesses[:10]:
             g = add_edges(path_graph(10), [tuple(e) for e in witness])
-            assert game_value(g) == r.max_value
+            assert Solver(g).game_value() == r.max_value
 
     def test_workers_match_serial(self):
         serial = harness.enumerate_edge_additions("path", 9, 2, workers=1)

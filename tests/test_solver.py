@@ -1,13 +1,13 @@
+import io
 import random
 
 import pytest
 
+from domgame import cli, harness
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import make_graph, mask_of, bits
 from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
-                            VertexCapExceeded, domination_number, game_value,
-                            legal_moves, optimal_first_moves,
-                            value_with_forced_first_move)
+                            VertexCapExceeded, domination_number, legal_moves)
 from domgame.oracle import union_lemma_bound, PiecePrimeKind
 from domgame.graph import disjoint_union
 
@@ -37,20 +37,20 @@ class TestLegalMoves:
 
 class TestGameValue:
     def test_p11(self):
-        assert game_value(path_graph(11)) == 5
+        assert Solver(path_graph(11)).game_value() == 5
 
     def test_r11(self):
         r11 = generate(FamilySpec("r-graph", {"n": 2}))
-        assert game_value(r11.graph) == 6
+        assert Solver(r11.graph).game_value() == 6
 
     def test_fully_dominated(self):
         g = cycle_graph(6)
-        assert game_value(g, g.full_mask) == 0
-        assert game_value(g, g.full_mask, Turn.STALLER) == 0
+        assert Solver(g).game_value(g.full_mask) == 0
+        assert Solver(g).game_value(g.full_mask, Turn.STALLER) == 0
 
     def test_double_prime_6_staller(self):
         lg = generate(FamilySpec("double-prime-path", {"n": 6}))
-        assert game_value(lg.graph, lg.dominated, Turn.STALLER) == 4
+        assert Solver(lg.graph).game_value(lg.dominated, Turn.STALLER) == 4
 
     def test_matches_naive_minimax(self):
         rng = random.Random(99)
@@ -58,7 +58,7 @@ class TestGameValue:
             n = rng.randint(1, 6)
             g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
             for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
-                assert game_value(g, 0, turn) == naive_game_value(g, 0, dom)
+                assert Solver(g).game_value(0, turn) == naive_game_value(g, 0, dom)
 
     def test_vertex_cap(self):
         with pytest.raises(VertexCapExceeded):
@@ -66,7 +66,7 @@ class TestGameValue:
 
     def test_memo_limit(self):
         with pytest.raises(MemoLimitExceeded):
-            game_value(cycle_graph(16), config=SolverConfig(memo_limit=5))
+            Solver(cycle_graph(16), SolverConfig(memo_limit=5)).game_value()
 
     def test_solver_usable_after_memo_limit(self):
         solver = Solver(path_graph(14), SolverConfig(memo_limit=50))
@@ -79,10 +79,10 @@ class TestGameValue:
 class TestOptimalFirstMoves:
     def test_r11_every_vertex_optimal(self):
         r11 = generate(FamilySpec("r-graph", {"n": 2}))
-        assert optimal_first_moves(r11.graph) == r11.graph.full_mask
+        assert Solver(r11.graph).optimal_first_moves() == r11.graph.full_mask
 
     def test_k1(self):
-        assert optimal_first_moves(make_graph(1, [])) == 1
+        assert Solver(make_graph(1, [])).optimal_first_moves() == 1
 
     def test_p3_center_only(self):
         g = path_graph(3)
@@ -91,36 +91,36 @@ class TestOptimalFirstMoves:
         expected = mask_of(v for v in range(3)
                            if 1 + naive_game_value(g, g.closed[v], False) == best)
         assert expected == mask_of([1])
-        assert optimal_first_moves(g) == expected
+        assert Solver(g).optimal_first_moves() == expected
 
     def test_no_legal_moves_error(self):
         g = path_graph(2)
         with pytest.raises(ValueError):
-            optimal_first_moves(g, g.full_mask)
+            Solver(g).optimal_first_moves(g.full_mask)
 
 
 class TestForcedFirstMove:
     def test_hatted_cycle_9_on_y(self):
         lg = generate(FamilySpec("hatted-cycle", {"n": 9}))
-        assert value_with_forced_first_move(lg.graph, lg.labels["y"]) == 5
+        assert Solver(lg.graph).value_with_forced_first_move(lg.labels["y"]) == 5
 
     def test_r19_vertex_10(self):
         lg = generate(FamilySpec("r-graph", {"n": 4}))
-        assert value_with_forced_first_move(lg.graph, 10) <= 10
+        assert Solver(lg.graph).value_with_forced_first_move(10) <= 10
 
     def test_k1(self):
-        assert value_with_forced_first_move(make_graph(1, []), 0) == 1
+        assert Solver(make_graph(1, [])).value_with_forced_first_move(0) == 1
 
     def test_illegal_move_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            value_with_forced_first_move(g, 0, dominated=g.full_mask)
+            Solver(g).value_with_forced_first_move(0, dominated=g.full_mask)
 
     def test_dominator_upper_bound(self):
         g = cycle_graph(7)
-        gg = game_value(g)
+        gg = Solver(g).game_value()
         for v in range(7):
-            assert value_with_forced_first_move(g, v) >= gg
+            assert Solver(g).value_with_forced_first_move(v) >= gg
 
 
 class TestDominationNumber:
@@ -145,7 +145,33 @@ class TestDominationNumber:
 
     def test_cap(self):
         with pytest.raises(VertexCapExceeded):
-            domination_number(path_graph(30), vertex_cap=26)
+            domination_number(path_graph(30), config=SolverConfig(vertex_cap=26))
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("refuse, order", [
+        (lambda cfg: Solver(path_graph(8), cfg), 8),
+        (lambda cfg: domination_number(path_graph(8), cfg), 8),
+        (lambda cfg: harness._solve_all([(path_graph(8), 0)], cfg, 1), 8),
+        (lambda cfg: harness.enumerate_edge_additions("path", 8, 2, config=cfg), 8),
+        # The add-edges default range for path + 2 edges ends at 14.
+        (lambda cfg: cli._cmd_add_edges(cli._build_parser().parse_args(
+            ["add-edges", "--base", "path", "--k", "2"]), cfg, io.StringIO()), 14),
+    ], ids=["Solver", "domination_number", "_solve_all",
+            "enumerate_edge_additions", "add-edges-range"])
+    def test_one_check_one_message(self, refuse, order, monkeypatch):
+        checked = []
+        check_order = SolverConfig.check_order
+
+        def recording_check(cfg, n):
+            checked.append(n)
+            check_order(cfg, n)
+
+        monkeypatch.setattr(SolverConfig, "check_order", recording_check)
+        with pytest.raises(VertexCapExceeded) as exc:
+            refuse(SolverConfig(vertex_cap=6))
+        assert str(exc.value) == f"graph order {order} exceeds solver cap 6"
+        assert checked == [order]
 
 
 class TestSolverInvariants:
@@ -181,7 +207,7 @@ class TestSolverInvariants:
             n = rng.randint(2, 12)
             g = _random_graph(rng, n, rng.uniform(0.3, 0.7))
             gamma = domination_number(g)
-            gg = game_value(g)
+            gg = Solver(g).game_value()
             assert gamma <= gg <= 2 * gamma - 1
 
     def test_value_range(self):
@@ -189,7 +215,7 @@ class TestSolverInvariants:
         for _ in range(30):
             n = rng.randint(1, 10)
             g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
-            gg = game_value(g)
+            gg = Solver(g).game_value()
             assert 1 <= gg <= n
 
     def test_table_bounds_bracket_naive_value(self):
