@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import harness
-from .families import FAMILY_NAMES, FamilySpec, generate
+from .families import FAMILY_NAMES, FamilySpec, cycle_graph, generate, path_graph
 from .graph import (GraphError, PartiallyDominatedGraph, bits, format_edge_list,
-                    mask_of, parse_edge_list)
+                    mask_of, non_edges, parse_edge_list)
 from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
                      VertexCapExceeded, domination_number)
 
@@ -252,7 +252,10 @@ def _cmd_add_edges(args, cfg, out):
         if args.full:
             print(f"warning: full range up to n={cap}; this can take hours",
                   file=sys.stderr)
-        orders = list(range(4, cap + 1))
+        # From the least order with at least k non-edges to add.
+        base = path_graph if args.base == "path" else cycle_graph
+        orders = [n for n in range(4, cap + 1)
+                  if len(non_edges(base(n))) >= args.k]
     status = 0
     for n in orders:
         report = harness.enumerate_edge_additions(

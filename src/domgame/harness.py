@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import oracle
 from .analysis import ConjectureRow
+from .canon import canonical_form, canonical_key, group_elements
 from .families import FamilySpec, generate, path_graph, cycle_graph
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
                     disjoint_union, is_connected, make_graph, non_edges)
@@ -63,33 +64,40 @@ def _sweep_one(args):
     return solver.game_value(dominated), solver.states_explored
 
 
-def _solve_all(instances, cfg, workers):
+def _labeled_key(graph, dominated):
+    return graph.closed, dominated
+
+
+def _solve_all(instances, cfg, workers, key=canonical_key):
     """(value, states explored) of every (graph, dominated) pair, in input
-    order.  Every order is checked against the vertex cap before the
-    first solve, so an over-cap sweep fails before it does any work."""
-    jobs = [(graph, dominated, cfg) for graph, dominated in instances]
-    cfg.check_order(max((graph.n for graph, _, _ in jobs), default=0))
+    order, and the number of solves made.
+
+    Instances with equal keys (by default: isomorphic ones) are one
+    class; only the first of each class is solved, and the others copy
+    its value with 0 states.  Every order is checked against the vertex
+    cap before the first solve, so an over-cap sweep fails before it
+    does any work."""
+    instances = list(instances)
+    cfg.check_order(max((graph.n for graph, _ in instances), default=0))
+    first = {}
+    owner = [first.setdefault(key(graph, dominated), i)
+             for i, (graph, dominated) in enumerate(instances)]
+    jobs = [(graph, dominated, cfg) for i, (graph, dominated)
+            in enumerate(instances) if owner[i] == i]
     if workers <= 1:
-        return [_sweep_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, jobs, chunksize=64))
+        solved = [_sweep_one(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_sweep_one, jobs, chunksize=64))
+    by_first = dict(zip(first.values(), solved))
+    results = [by_first[i] if owner[i] == i else (by_first[owner[i]][0], 0)
+               for i in range(len(instances))]
+    return results, len(jobs)
 
 
 # ---------------------------------------------------------------------------
 # Edge-addition sweeps
 # ---------------------------------------------------------------------------
-
-def _path_perms(n):
-    return [tuple(range(n)), tuple(n - 1 - v for v in range(n))]
-
-
-def _cycle_perms(n):
-    perms = []
-    for j in range(n):
-        perms.append(tuple((v + j) % n for v in range(n)))
-        perms.append(tuple((j - v) % n for v in range(n)))
-    return perms
-
 
 def _apply_perm(edge_set, perm):
     return tuple(sorted(tuple(sorted((perm[u], perm[v])))
@@ -102,10 +110,11 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
                              workers: int = 1) -> ExperimentReport:
     """Solve every addition of k edges to P_n or C_n and record the maximum.
 
-    With symmetry on, only one edge set per orbit of the base graph's
-    obvious automorphisms (path reversal, cycle dihedral group) is
-    solved; counts and witnesses are expanded back to full orbits so the
-    report is identical either way.
+    With symmetry on, the edge sets fall into orbits of the base graph's
+    automorphism group, and only one graph per isomorphism class of the
+    orbit representatives is solved; counts and witnesses are expanded
+    back to every labeled edge set, so the report is identical either
+    way.  With symmetry off, every labeled edge set is solved on its own.
     """
     if base not in ("path", "cycle"):
         raise ValueError(f"base must be 'path' or 'cycle', got {base!r}")
@@ -115,22 +124,29 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     cfg.check_order(n)
     t0 = time.perf_counter()
     g = path_graph(n) if base == "path" else cycle_graph(n)
-    perms = _path_perms(n) if base == "path" else _cycle_perms(n)
-    if not symmetry:
-        perms = perms[:1]   # the identity: every orbit is one edge set
+    pairs = non_edges(g)
+    if len(pairs) < k:
+        raise ValueError(f"{base} of order {n} has {len(pairs)} non-edges, "
+                         f"too few to add {k}")
+    if symmetry:
+        perms, key = group_elements(canonical_form(g)[1], n), canonical_key
+    else:
+        # The identity alone: every orbit is one edge set, every graph
+        # its own class.
+        perms, key = [tuple(range(n))], _labeled_key
 
     # Combinations come in lexicographic order, so each orbit is met first
     # at its least member, which is the edge set solved for it.
     orbits = []
     seen = set()
-    for combo in itertools.combinations(non_edges(g), k):
+    for combo in itertools.combinations(pairs, k):
         if combo not in seen:
             orbit = sorted({_apply_perm(combo, p) for p in perms})
             seen.update(orbit)
             orbits.append(orbit)
 
-    results = _solve_all([(add_edges(g, orbit[0]), 0) for orbit in orbits],
-                         cfg, workers)
+    results, solves = _solve_all(
+        [(add_edges(g, orbit[0]), 0) for orbit in orbits], cfg, workers, key)
 
     bound = -(-n // 2)
     histogram = {}
@@ -161,7 +177,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         max_value=max_value,
         witnesses=witnesses,
         wall_time=time.perf_counter() - t0,
-        solver_stats={"instances_solved": len(orbits), "states_explored": states},
+        solver_stats={"instances_solved": solves, "states_explored": states},
         ok=not violations,
     )
     if violations:
@@ -179,11 +195,13 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     """Solve every instance, check the half-order bound, and compare the
     solver against the closed-form value where one is published."""
     specs = list(specs)
+    if not specs:
+        raise ValueError(f"{name} has no instances to solve")
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     graphs = [generate(spec) for spec in specs]
-    results = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
-                         cfg, workers)
+    results, solves = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
+                                 cfg, workers)
 
     rows = []
     mismatches = []
@@ -211,7 +229,7 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
         rows=rows,
         max_value=max((r["gamma_g"] for r in rows), default=None),
         wall_time=time.perf_counter() - t0,
-        solver_stats={"states_explored": states},
+        solver_stats={"instances_solved": solves, "states_explored": states},
         ok=all_hold and not mismatches,
         notes=mismatches,
     )
@@ -285,11 +303,13 @@ def check_r_equality(n_max: int, *, config: SolverConfig | None = None) -> Exper
 
     Evidence gathering only: no pass/fail stance is taken on equality.
     """
+    if n_max < 2:
+        raise ValueError(f"R-graphs start at n = 2; n_max {n_max} leaves none")
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     ns = range(2, n_max + 1)
     graphs = [generate(spec).graph for spec in r_graph_specs(ns)]
-    results = _solve_all([(g, 0) for g in graphs], cfg, 1)
+    results, _ = _solve_all([(g, 0) for g in graphs], cfg, 1)
     rows = [{"n": n, "order": g.n, "gamma_g": gg, "target": 2 * n + 2,
              "equality": gg == 2 * n + 2}
             for n, g, (gg, _) in zip(ns, graphs, results)]

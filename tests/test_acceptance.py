@@ -8,6 +8,7 @@ import pytest
 from domgame import harness
 from domgame.families import (FamilySpec, generate, halin_dominating_set,
                               path_graph, cycle_graph)
+from domgame.graph import non_edges
 from domgame.oracle import (PiecePrimeKind, partial_path_values,
                             path_cycle_gamma_g)
 from domgame.solver import Solver, Turn, domination_number
@@ -67,7 +68,14 @@ def test_criterion_3_p11_edge_addition_example():
 ])
 def test_criterion_4_edge_addition_sweeps(base, k, n_max):
     t0 = time.perf_counter()
+    base_graph = path_graph if base == "path" else cycle_graph
     for n in range(4, n_max + 1):
+        if len(non_edges(base_graph(n))) < k:
+            # C_4 has 2 non-edges: there is no graph to solve, and an
+            # empty sweep is refused rather than reported as holding.
+            with pytest.raises(ValueError, match="too few to add"):
+                harness.enumerate_edge_additions(base, n, k)
+            continue
         r = harness.enumerate_edge_additions(base, n, k)
         assert r.ok, (base, n, k, r.notes)
         assert r.max_value <= -(-n // 2)

@@ -111,6 +111,34 @@ class TestLimits:
         assert code == 0 and "gamma_g = 5" in out
 
 
+class TestEmptySweeps:
+    """A sweep with nothing to solve exits 2 with the reason on stderr,
+    instead of an `ok` report with no rows."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("add-edges", "--base", "cycle", "--n", "4", "--k", "3"),
+         "cycle of order 4 has 2 non-edges, too few to add 3"),
+        (("sweep", "tadpole", "--max-order", "3"),
+         "sweep-tadpole has no instances to solve"),
+        (("sweep", "fx", "--count", "0"), "sweep-fx has no instances to solve"),
+        (("check-r", "--max", "1"), "R-graphs start at n = 2; n_max 1 leaves none"),
+    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "check-r-max-1"])
+    def test_exits_2_silently(self, argv, message, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+
+    def test_default_range_starts_at_k_non_edges(self, monkeypatch):
+        # C_4 has 2 non-edges, C_5 has 5: the cycle + 3 range starts at 5.
+        monkeypatch.setitem(cli.DESK_CAPS, ("cycle", 3), 6)
+        code, out = run_cli("add-edges", "--base", "cycle", "--k", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln for ln in lines if ln.startswith("n = ")] == ["n = 5", "n = 6"]
+        assert [ln for ln in lines if ln.startswith("graph_count = ")] \
+            == ["graph_count = 10", "graph_count = 84"]
+
+
 class TestGamma:
     def test_p7(self, tmp_path):
         lg = generate(FamilySpec("path", {"n": 7}))
