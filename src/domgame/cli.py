@@ -166,23 +166,7 @@ def _parse_params(items):
 
 
 def _emit_report(report, args, out):
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    elif args.format == "csv":
-        text = report.to_csv()
-    else:
-        lines = [f"experiment = {report.name}", f"ok = {report.ok}"]
-        for k, v in sorted(report.parameters.items()):
-            lines.append(f"{k} = {v}")
-        if report.max_value is not None:
-            lines.append(f"max_value = {report.max_value}")
-        for note in report.notes:
-            lines.append(f"note = {note}")
-        for w in report.witnesses[:20]:
-            lines.append(f"witness = {w}")
-        lines.append(f"wall_time = {report.wall_time:.3f}")
-        text = "\n".join(lines) + "\n"
-    out.write(text)
+    out.write(report.render(args.format))
     return 0 if report.ok else 1
 
 
@@ -302,11 +286,8 @@ def run(argv=None, out=None) -> int:
                 else contextlib.nullcontext(out or sys.stdout))
         with sink as fh:
             return _COMMANDS[args.command](args, cfg, fh)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, VertexCapExceeded, MemoLimitExceeded, ValueError,
-            OSError) as exc:
+    except (UsageError, GraphError, VertexCapExceeded, MemoLimitExceeded,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

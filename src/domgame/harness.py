@@ -8,6 +8,8 @@ so worker scheduling cannot leak into the output.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import random
@@ -16,14 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import oracle
-from .analysis import ConjectureRow
+from .analysis import ConjectureRow, has_hamiltonian_path
 from .canon import canonical_form, canonical_key, group_elements
 from .families import FamilySpec, generate, path_graph, cycle_graph
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
                     disjoint_union, is_connected, make_graph, non_edges)
 from .solver import Solver, SolverConfig, Turn, domination_number
-
-CSV_HEADER = "family,params,n,gamma_g,bound,holds,is_half_graph"
 
 
 @dataclass
@@ -38,20 +38,34 @@ class ExperimentReport:
     ok: bool = True
     notes: list = field(default_factory=list)
 
+    def render(self, fmt: str) -> str:
+        """The report as "json", "csv" or line-oriented "text"."""
+        if fmt == "json":
+            return self.to_json() + "\n"
+        if fmt == "csv":
+            return self.to_csv()
+        lines = [f"experiment = {self.name}", f"ok = {self.ok}"]
+        lines += [f"{k} = {v}" for k, v in sorted(self.parameters.items())]
+        if self.max_value is not None:
+            lines.append(f"max_value = {self.max_value}")
+        lines += [f"note = {note}" for note in self.notes]
+        lines += [f"witness = {w}" for w in self.witnesses[:20]]
+        lines.append(f"wall_time = {self.wall_time:.3f}")
+        return "\n".join(lines) + "\n"
+
     def to_json(self) -> str:
         # vars, not asdict: the fields as they are, without a deep copy.
         return json.dumps(vars(self), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join(str(row.get(col, "")) for col in
-                                  CSV_HEADER.split(",")))
-        return "\n".join(lines) + "\n"
-
-
-def _row_sort_key(row: dict):
-    return tuple(str(row.get(col, "")) for col in CSV_HEADER.split(","))
+        """One column per row key, in first-seen order; a row without a
+        key leaves its field empty."""
+        columns = list(dict.fromkeys(key for row in self.rows for key in row))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.rows)
+        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -69,30 +83,30 @@ def _labeled_key(graph, dominated):
 
 
 def _solve_all(instances, cfg, workers, key=canonical_key):
-    """(value, states explored) of every (graph, dominated) pair, in input
-    order, and the number of solves made.
+    """The game value of every (graph, dominated) pair, in input order, and
+    the batch's solver_stats record.
 
     Instances with equal keys (by default: isomorphic ones) are one
     class; only the first of each class is solved, and the others copy
-    its value with 0 states.  Every order is checked against the vertex
-    cap before the first solve, so an over-cap sweep fails before it
-    does any work."""
+    its value, so `instances_solved` counts classes and `states_explored`
+    sums the states of those solves.  Every order is checked against the
+    vertex cap before the first solve, so an over-cap sweep fails before
+    it does any work."""
     instances = list(instances)
     cfg.check_order(max((graph.n for graph, _ in instances), default=0))
     first = {}
     owner = [first.setdefault(key(graph, dominated), i)
              for i, (graph, dominated) in enumerate(instances)]
-    jobs = [(graph, dominated, cfg) for i, (graph, dominated)
-            in enumerate(instances) if owner[i] == i]
+    jobs = [(*instances[i], cfg) for i in first.values()]
     if workers <= 1:
         solved = [_sweep_one(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_sweep_one, jobs, chunksize=64))
-    by_first = dict(zip(first.values(), solved))
-    results = [by_first[i] if owner[i] == i else (by_first[owner[i]][0], 0)
-               for i in range(len(instances))]
-    return results, len(jobs)
+    value_of = {i: value for i, (value, _) in zip(first.values(), solved)}
+    stats = {"instances_solved": len(jobs),
+             "states_explored": sum(states for _, states in solved)}
+    return [value_of[i] for i in owner], stats
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
             seen.update(orbit)
             orbits.append(orbit)
 
-    results, solves = _solve_all(
+    values, stats = _solve_all(
         [(add_edges(g, orbit[0]), 0) for orbit in orbits], cfg, workers, key)
 
     bound = -(-n // 2)
@@ -153,11 +167,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     max_value = 0
     witnesses = []
     violations = []
-    total = 0
-    states = 0
-    for orbit, (value, explored) in zip(orbits, results):
-        states += explored
-        total += len(orbit)
+    for orbit, value in zip(orbits, values):
         histogram[value] = histogram.get(value, 0) + len(orbit)
         if value > max_value:
             max_value = value
@@ -171,13 +181,13 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     report = ExperimentReport(
         name=f"{base}-plus-{k}-edges",
         parameters={"base": base, "n": n, "edges_added": k,
-                    "symmetry": symmetry, "graph_count": total,
+                    "symmetry": symmetry, "graph_count": len(seen),
                     "bound": bound},
         rows=rows,
         max_value=max_value,
         witnesses=witnesses,
         wall_time=time.perf_counter() - t0,
-        solver_stats={"instances_solved": solves, "states_explored": states},
+        solver_stats=stats,
         ok=not violations,
     )
     if violations:
@@ -200,14 +210,12 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     graphs = [generate(spec) for spec in specs]
-    results, solves = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
-                                 cfg, workers)
+    values, stats = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
+                               cfg, workers)
 
     rows = []
     mismatches = []
-    states = 0
-    for spec, lg, (gg, explored) in zip(specs, graphs, results):
-        states += explored
+    for spec, lg, gg in zip(specs, graphs, values):
         rows.append(asdict(ConjectureRow.of(spec.family, spec.describe(),
                                             lg.graph.n, gg)))
         try:
@@ -221,7 +229,7 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
             elif not known.exact and gg > known.value:
                 mismatches.append(f"{spec.describe()}: solver {gg} exceeds "
                                   f"published bound {known.value}")
-    rows.sort(key=_row_sort_key)
+    rows.sort(key=lambda row: tuple(map(str, row.values())))
     all_hold = all(r["holds"] for r in rows)
     report = ExperimentReport(
         name=name,
@@ -229,7 +237,7 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
         rows=rows,
         max_value=max((r["gamma_g"] for r in rows), default=None),
         wall_time=time.perf_counter() - t0,
-        solver_stats={"instances_solved": solves, "states_explored": states},
+        solver_stats=stats,
         ok=all_hold and not mismatches,
         notes=mismatches,
     )
@@ -270,7 +278,6 @@ def random_fx_specs(count: int, seed: int, max_order: int):
         raise ValueError(f"fx max order must be at least 5 (x needs 2 vertices, "
                          f"the tail 3), got {max_order}")
     rng = random.Random(seed)
-    from .analysis import has_hamiltonian_path
     specs = []
     while len(specs) < count:
         nx = rng.randint(2, max(2, (max_order - 3) // 2))
@@ -280,10 +287,7 @@ def random_fx_specs(count: int, seed: int, max_order: int):
                  if rng.random() < 0.3]
         x = make_graph(nx, [(v, v + 1) for v in range(nx - 1)] + extra)
         _, endpoints = has_hamiltonian_path(x)
-        w = 0
-        for v in bits(x.full_mask):
-            if rng.random() < 0.5:
-                w |= 1 << v
+        w = _random_submask(rng, x.full_mask)
         if not w & endpoints:
             w |= endpoints & -endpoints
         specs.append(FamilySpec("fx", {"x": x, "n": n, "w": w}))
@@ -309,16 +313,17 @@ def check_r_equality(n_max: int, *, config: SolverConfig | None = None) -> Exper
     t0 = time.perf_counter()
     ns = range(2, n_max + 1)
     graphs = [generate(spec).graph for spec in r_graph_specs(ns)]
-    results, _ = _solve_all([(g, 0) for g in graphs], cfg, 1)
+    values, stats = _solve_all([(g, 0) for g in graphs], cfg, 1)
     rows = [{"n": n, "order": g.n, "gamma_g": gg, "target": 2 * n + 2,
              "equality": gg == 2 * n + 2}
-            for n, g, (gg, _) in zip(ns, graphs, results)]
+            for n, g, gg in zip(ns, graphs, values)]
     return ExperimentReport(
         name="r-graph-equality",
         parameters={"n_max": n_max},
         rows=rows,
         max_value=max((r["gamma_g"] for r in rows), default=None),
         wall_time=time.perf_counter() - t0,
+        solver_stats=stats,
         ok=all(r["gamma_g"] <= r["target"] for r in rows),
     )
 
@@ -373,18 +378,16 @@ def verify_tables() -> ExperimentReport:
     t0 = time.perf_counter()
     rows = []
     mismatches = []
-    for (x, y), expected in sorted(TADPOLE_TABLE_EXPECTED.items()):
-        got = oracle.tadpole_table_row(x, y)
-        rows.append({"table": "tadpole", "case": [x, y],
-                     "computed": list(got), "expected": list(expected)})
-        if got != expected:
-            mismatches.append(f"tadpole row ({x},{y}): {got} != {expected}")
-    for (x, y, z), expected in sorted(TWO_TAILED_TABLE_EXPECTED.items()):
-        got = oracle.two_tailed_table(x, y, z)
-        rows.append({"table": "two-tailed", "case": [x, y, z],
-                     "computed": list(got), "expected": list(expected)})
-        if got != expected:
-            mismatches.append(f"two-tailed row ({x},{y},{z}): {got} != {expected}")
+    for table, expected_rows, compute in (
+            ("tadpole", TADPOLE_TABLE_EXPECTED, oracle.tadpole_table_row),
+            ("two-tailed", TWO_TAILED_TABLE_EXPECTED, oracle.two_tailed_table)):
+        for case, expected in sorted(expected_rows.items()):
+            got = compute(*case)
+            rows.append({"table": table, "case": list(case),
+                         "computed": list(got), "expected": list(expected)})
+            if got != expected:
+                mismatches.append(f"{table} row ({','.join(map(str, case))}): "
+                                  f"{got} != {expected}")
     failing = oracle.two_tailed_failing_residues()
     if sorted(failing) != sorted(EXCEPTIONAL_RESIDUES_EXPECTED):
         mismatches.append("exceptional residue set differs from published one")

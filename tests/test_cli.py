@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -235,7 +236,8 @@ class TestReports:
         code, out = run_cli("--format", "csv", "sweep", "broken-ladder",
                             "--k-max", "1")
         assert code == 0
-        assert out.splitlines()[0] == harness.CSV_HEADER
+        assert out.splitlines()[0] == \
+            "family,params,n,gamma_g,bound,holds,is_half_graph"
 
     def test_props(self):
         code, out = run_cli("props", "--seed", "1", "--trials", "5")
@@ -245,3 +247,44 @@ class TestReports:
     def test_usage_error(self):
         code, _ = run_cli("no-such-command")
         assert code == 2
+
+
+class TestReportFormats:
+    """Every report command renders its own rows in every format."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "tadpole", "--max-order", "6"),
+        ("add-edges", "--base", "path", "--n", "8", "--k", "2"),
+        ("check-r", "--max", "3"),
+        ("verify-tables",),
+        ("props", "--seed", "1", "--trials", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_columns_are_row_keys(self, argv):
+        _, doc = run_cli("--format", "json", *argv)
+        rows = json.loads(doc)["rows"]
+        code, out = run_cli("--format", "csv", *argv)
+        assert code == 0
+        header, *lines = list(csv.reader(io.StringIO(out)))
+        # JSON sorts the keys, so only the set of columns is compared.
+        assert sorted(header) == sorted({k for row in rows for k in row})
+        assert lines == [[str(row.get(k, "")) for k in header] for row in rows]
+
+    def test_multi_parameter_sweep_row_quoted(self):
+        _, out = run_cli("--format", "csv", "sweep", "tadpole",
+                         "--max-order", "5")
+        row = next(csv.reader(io.StringIO(out.splitlines()[1])))
+        assert len(row) == 7
+        assert row[:2] == ["tadpole", "tadpole(m=3,n=1)"]
+
+    def test_add_edges_csv_counts_cover_every_graph(self):
+        argv = ("add-edges", "--base", "path", "--n", "8", "--k", "2")
+        _, doc = run_cli("--format", "json", *argv)
+        _, out = run_cli("--format", "csv", *argv)
+        counts = [int(row["count"]) for row in csv.DictReader(io.StringIO(out))]
+        assert sum(counts) == json.loads(doc)["parameters"]["graph_count"] == 210
+
+    def test_check_r_reports_solver_stats(self):
+        _, doc = run_cli("--format", "json", "check-r", "--max", "3")
+        stats = json.loads(doc)["solver_stats"]
+        assert stats["instances_solved"] == 2
+        assert stats["states_explored"] > 0

@@ -78,18 +78,16 @@ class TestDedup:
     ], ids=["two-tailed-13", "path-7-all-3-edge-sets"])
     def test_values_match_direct_solves(self, instances):
         instances = instances()
-        results, solves = harness._solve_all(instances, SolverConfig(), 1)
-        firsts = set()
-        for (g, d), (value, states) in zip(instances, results):
+        values, stats = harness._solve_all(instances, SolverConfig(), 1)
+        # States of the direct solve of each class's first instance.
+        first_states = {}
+        for (g, d), value in zip(instances, values):
             solver = Solver(g)
             assert value == solver.game_value(d)
-            key = canonical_key(g, d)
-            if key in firsts:
-                assert states == 0
-            else:
-                firsts.add(key)
-                assert states == solver.states_explored > 0
-        assert solves == len(firsts) < len(instances)
+            first_states.setdefault(canonical_key(g, d), solver.states_explored)
+        assert len(first_states) < len(instances)
+        assert stats == {"instances_solved": len(first_states),
+                         "states_explored": sum(first_states.values())}
 
     def test_no_symmetry_solves_every_labeled_edge_set(self, solved):
         r = harness.enumerate_edge_additions("path", 9, 3, symmetry=False)
@@ -199,6 +197,16 @@ class TestVerifyTables:
                                 "exception_count": 16}
         # 16 + 64 table rows plus the exception summary row
         assert len(r.rows) == 81
+
+    def test_wrong_tadpole_row_reported(self, monkeypatch):
+        monkeypatch.setattr(harness.oracle, "tadpole_table_row",
+                            lambda x, y: (9, 9, 9))
+        r = harness.verify_tables()
+        assert not r.ok
+        assert r.notes[0] == "tadpole row (0,0): (9, 9, 9) != (1, 4, 2)"
+        assert len(r.notes) == 16
+        assert r.rows[0] == {"table": "tadpole", "case": [0, 0],
+                             "computed": [9, 9, 9], "expected": [1, 4, 2]}
 
     def test_json_document_shape(self):
         doc = json.loads(harness.verify_tables().to_json())
