@@ -11,8 +11,7 @@ from .oracle import (QuarterWeight, PiecePrimeKind, KnownValue, weight,
                      path_cycle_gamma_g, partial_path_values,
                      union_lemma_bound, tadpole_table_row, two_tailed_table,
                      two_tailed_failing_residues, known_family_value)
-from .families import (FamilySpec, LabeledGraph, generate, halin_dominating_set,
-                       hatted_cycle_equivalent_cycle_value, path_graph,
+from .families import (FamilySpec, generate, halin_dominating_set, path_graph,
                        cycle_graph, FAMILY_NAMES)
 from .analysis import (has_hamiltonian_path, classify_unicyclic,
                        UnicyclicClass, ConjectureRow, check_half_conjecture)

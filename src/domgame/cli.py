@@ -33,8 +33,7 @@ _SWEEPS = {
     "broken-ladder": lambda a: harness.broken_ladder_specs(a.k_max),
     "cycle-chord": lambda a: harness.cycle_chord_specs(a.max_order or 18),
     "fx": lambda a: harness.random_fx_specs(a.count, a.seed, a.max_order or 18),
-    "r-graph": lambda a: harness.r_graph_specs(
-        [int(s) for s in (a.n or "2,3,4").split(",")]),
+    "r-graph": lambda a: harness.r_graph_specs(_int_list("--n", a.n or "2,3,4")),
 }
 
 
@@ -135,14 +134,15 @@ def _load(path: str) -> PartiallyDominatedGraph:
         raise UsageError(f"malformed edge list in {path}: {exc}")
 
 
-def _parse_dominated(spec: str, n: int) -> int:
-    try:
-        ids = [int(s) for s in spec.split(",") if s.strip() != ""]
-    except ValueError:
-        raise UsageError(f"bad --dominated list {spec!r}")
-    if any(not 0 <= v < n for v in ids):
-        raise UsageError(f"--dominated id out of range in {spec!r}")
-    return mask_of(ids)
+def _int_list(name: str, text: str) -> list:
+    """The non-negative integers of a comma-separated list; blank items are
+    skipped, so an empty list is allowed."""
+    items = [s.strip() for s in text.split(",") if s.strip()]
+    for item in items:
+        if not item.isdecimal():
+            raise UsageError(f"bad {name} list {text!r}: {item!r} is not "
+                             "a non-negative integer")
+    return [int(s) for s in items]
 
 
 def _parse_params(items):
@@ -152,9 +152,9 @@ def _parse_params(items):
             raise UsageError(f"parameter {item!r} is not key=value")
         key, _, val = item.partition("=")
         if key == "d":
-            params[key] = [int(s) for s in val.split(",")]
+            params[key] = _int_list("d=", val)
         elif key == "w":
-            params[key] = mask_of(int(s) for s in val.split(","))
+            params[key] = mask_of(_int_list("w=", val))
         elif key == "x-file":
             params["x"] = _load(val).graph
         else:
@@ -163,6 +163,25 @@ def _parse_params(items):
             except ValueError:
                 raise UsageError(f"parameter {item!r} needs an integer value")
     return params
+
+
+class _OutputFile:
+    """The --output file, truncated by the first write: a command that
+    fails before it writes leaves the old file as it was."""
+
+    def __init__(self, path):
+        # Append mode truncates nothing, but an unwritable path fails here,
+        # before the command does any work.
+        open(path, "a", encoding="utf-8").close()
+        self.path, self.fh = path, None
+
+    def write(self, text):
+        self.fh = self.fh or open(self.path, "w", encoding="utf-8")
+        self.fh.write(text)
+
+    def close(self):
+        if self.fh:
+            self.fh.close()
 
 
 def _emit_report(report, args, out):
@@ -175,7 +194,9 @@ def _cmd_solve(args, cfg, out):
     dominated = pdg.dominated
     if args.dominated is not None:
         # Explicit flag overrides the file's dominated: line.
-        dominated = _parse_dominated(args.dominated, pdg.graph.n)
+        dominated = mask_of(_int_list("--dominated", args.dominated))
+        if dominated & ~pdg.graph.full_mask:
+            raise UsageError(f"--dominated id out of range in {args.dominated!r}")
     turn = Turn.DOMINATOR if args.start == "dominator" else Turn.STALLER
     solver = Solver(pdg.graph, cfg)
     value = solver.game_value(dominated, turn)
@@ -197,20 +218,20 @@ def _cmd_gamma(args, cfg, out):
 def _cmd_family(args, cfg, out):
     try:
         spec = FamilySpec(args.name, _parse_params(args.params))
-        lg = generate(spec)
+        pdg = generate(spec)
     except GraphError as exc:
         raise UsageError(str(exc))
-    solver = Solver(lg.graph, cfg) if args.solve else None
+    solver = Solver(pdg.graph, cfg) if args.solve else None
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(format_edge_list(lg.partial))
+            fh.write(format_edge_list(pdg))
     out.write(f"family = {spec.describe()}\n")
-    out.write(f"n = {lg.graph.n}\n")
-    out.write(f"m = {lg.graph.edge_count}\n")
+    out.write(f"n = {pdg.graph.n}\n")
+    out.write(f"m = {pdg.graph.edge_count}\n")
     if args.emit:
         out.write(f"emitted = {args.emit}\n")
     if args.solve:
-        value = solver.game_value(lg.dominated)
+        value = solver.game_value(pdg.dominated)
         out.write(f"gamma_g = {value}\n")
     return 0
 
@@ -282,7 +303,7 @@ def run(argv=None, out=None) -> int:
         return 2 if exc.code else 0
     try:
         cfg = _config(args)
-        sink = (open(args.output, "w", encoding="utf-8") if args.output
+        sink = (contextlib.closing(_OutputFile(args.output)) if args.output
                 else contextlib.nullcontext(out or sys.stdout))
         with sink as fh:
             return _COMMANDS[args.command](args, cfg, fh)

@@ -1,7 +1,9 @@
 """Generators for the parameterized graph families under study.
 
-Vertex labeling conventions are fixed so tests can address the special
-vertices each construction singles out:
+`generate` returns a `graph.PartiallyDominatedGraph`, the type the
+edge-list reader and writer use; its `labels` dict names the special
+vertices of the construction.  The labeling conventions are fixed so
+tests can address those vertices:
 
 * tadpole: cycle vertices 0..m-1 first, then the tail; the joint is 0.
 * two-tailed tadpole: vertices in Hamiltonian-path order 0..n+m+k-1 with
@@ -43,17 +45,6 @@ def _fmt(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    graph: Graph
-    labels: dict = field(default_factory=dict)
-    dominated: int = 0
-
-    @property
-    def partial(self) -> PartiallyDominatedGraph:
-        return PartiallyDominatedGraph(self.graph, self.dominated)
-
-
 def _path_edges(lo: int, hi: int):
     return [(v, v + 1) for v in range(lo, hi)]
 
@@ -74,24 +65,24 @@ def cycle_graph(n: int) -> Graph:
 
 
 def _gen_path(n):
-    return LabeledGraph(path_graph(n), {"ends": (0, n - 1)})
+    return PartiallyDominatedGraph(path_graph(n), labels={"ends": (0, n - 1)})
 
 
 def _gen_cycle(n):
-    return LabeledGraph(cycle_graph(n), {})
+    return PartiallyDominatedGraph(cycle_graph(n))
 
 
 def _gen_prime_path(n):
     # Path on n+1 vertices with the last vertex pre-dominated.
     _require(n >= 0, "prime path needs n >= 0")
-    return LabeledGraph(path_graph(n + 1), {"dominated_end": n}, 1 << n)
+    return PartiallyDominatedGraph(path_graph(n + 1), 1 << n, {"dominated_end": n})
 
 
 def _gen_double_prime_path(n):
     # Path on n+2 vertices with both end-vertices pre-dominated.
     _require(n >= 0, "double prime path needs n >= 0")
-    return LabeledGraph(path_graph(n + 2), {"dominated_ends": (0, n + 1)},
-                        (1 << 0) | (1 << (n + 1)))
+    return PartiallyDominatedGraph(path_graph(n + 2), (1 << 0) | (1 << (n + 1)),
+                                   {"dominated_ends": (0, n + 1)})
 
 
 def _gen_tadpole(m, n):
@@ -100,7 +91,7 @@ def _gen_tadpole(m, n):
     edges += [(0, m)] + _path_edges(m, m + n - 1)
     g = make_graph(m + n, edges)
     assert g.degree(0) == 3
-    return LabeledGraph(g, {"joint": 0, "tail_leaf": m + n - 1})
+    return PartiallyDominatedGraph(g, labels={"joint": 0, "tail_leaf": m + n - 1})
 
 
 def _gen_two_tailed_tadpole(m, n, k):
@@ -110,15 +101,16 @@ def _gen_two_tailed_tadpole(m, n, k):
     edges = _path_edges(0, order - 1) + [(n, n + m - 1)]
     g = make_graph(order, edges)
     assert g.degree(n) == 3 and g.degree(n + m - 1) == 3
-    return LabeledGraph(g, {"joints": (n, n + m - 1),
-                            "cycle_extra_edge": (n, n + m - 1)})
+    return PartiallyDominatedGraph(g, labels={"joints": (n, n + m - 1),
+                                              "cycle_extra_edge": (n, n + m - 1)})
 
 
 def _gen_hatted_cycle(n):
     _require(n >= 4, "hatted cycle needs n >= 4")
     g = make_graph(n + 1, cycle_graph(n).edges() + [(1, n), (n - 1, n)])
     assert g.has_edge(1, n) and g.has_edge(n - 1, n)
-    return LabeledGraph(g, {"x": n, "x_prime": 0, "y": 1, "y_prime": n - 1})
+    return PartiallyDominatedGraph(g, labels={"x": n, "x_prime": 0, "y": 1,
+                                              "y_prime": n - 1})
 
 
 def _gen_broken_ladder(k):
@@ -135,7 +127,7 @@ def _gen_broken_ladder(k):
         edges += [(v, v + 1) for v in inner[:-1]]
         g = make_graph(8 + 4 * k, edges)
     assert g.n == 4 * k + 8
-    return LabeledGraph(g, {"rung_ends": (0, 4)})
+    return PartiallyDominatedGraph(g, labels={"rung_ends": (0, 4)})
 
 
 def _gen_cycle_chord(n, i):
@@ -143,7 +135,7 @@ def _gen_cycle_chord(n, i):
     _require(n >= 4, "chorded cycle needs n >= 4")
     _require(3 <= i <= n - 1, "chord position must satisfy 3 <= i <= n-1")
     g = add_edges(cycle_graph(n), [(0, i - 1)])
-    return LabeledGraph(g, {"chord": (0, i - 1)})
+    return PartiallyDominatedGraph(g, labels={"chord": (0, i - 1)})
 
 
 def _gen_fx(x: Graph, n: int, w: int):
@@ -161,8 +153,8 @@ def _gen_fx(x: Graph, n: int, w: int):
     edges += [(v, y) for v in range(nx)]
     edges += [(v, y2) for v in bits(w)]
     g = make_graph(nx + n, edges)
-    return LabeledGraph(g, {"y": y, "y_prime": y2, "x_vertices": x.full_mask,
-                            "w": w})
+    return PartiallyDominatedGraph(g, labels={"y": y, "y_prime": y2,
+                                              "x_vertices": x.full_mask, "w": w})
 
 
 def _halin_levels(k, degrees):
@@ -198,7 +190,7 @@ def _gen_halin(k, degrees):
     level_masks = tuple(mask_of(lv) for lv in levels)
     for i in range(1, k + 1):
         assert len(levels[i]) == len(levels[i - 1]) * degrees[i - 1]
-    return LabeledGraph(g, {"root": 0, "levels": level_masks})
+    return PartiallyDominatedGraph(g, labels={"root": 0, "levels": level_masks})
 
 
 R_GRAPH_EXTRA_EDGES = ((0, 4), (5, 8), (1, 7))
@@ -208,12 +200,12 @@ R_PRIME_11_EXTRA_EDGES = ((0, 4), (5, 8), (2, 7))
 def _gen_r_graph(n):
     _require(n >= 2, "r-graph needs n >= 2")
     g = add_edges(path_graph(4 * n + 3), R_GRAPH_EXTRA_EDGES)
-    return LabeledGraph(g, {"extra_edges": R_GRAPH_EXTRA_EDGES})
+    return PartiallyDominatedGraph(g, labels={"extra_edges": R_GRAPH_EXTRA_EDGES})
 
 
 def _gen_r_prime_11():
     g = add_edges(path_graph(11), R_PRIME_11_EXTRA_EDGES)
-    return LabeledGraph(g, {"extra_edges": R_PRIME_11_EXTRA_EDGES})
+    return PartiallyDominatedGraph(g, labels={"extra_edges": R_PRIME_11_EXTRA_EDGES})
 
 
 _BUILDERS = {
@@ -235,8 +227,8 @@ _BUILDERS = {
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 
-def generate(spec: FamilySpec) -> LabeledGraph:
-    """Build the labeled graph described by a family spec."""
+def generate(spec: FamilySpec) -> PartiallyDominatedGraph:
+    """Build the instance described by a family spec."""
     try:
         builder, arg_names = _BUILDERS[spec.family]
     except KeyError:
@@ -248,14 +240,6 @@ def generate(spec: FamilySpec) -> LabeledGraph:
     if extra:
         raise GraphError(f"{spec.family} got unexpected parameters {extra}")
     return builder(*(spec.params[a] for a in arg_names))
-
-
-def hatted_cycle_equivalent_cycle_value(n: int) -> int:
-    """Predicted game value of the hatted cycle built over a cycle of order n."""
-    from .oracle import path_cycle_gamma_g
-    if n < 4:
-        raise ValueError("hatted cycle needs n >= 4")
-    return path_cycle_gamma_g(n, "cycle")
 
 
 def halin_dominating_set(k: int, degrees) -> int:
@@ -272,10 +256,9 @@ def halin_dominating_set(k: int, degrees) -> int:
     degrees >= 3 each band holds at least four times its picked level.
     """
     degrees = list(degrees)
-    _require(k >= 1, "halin template needs k >= 1")
     _require(all(d >= 3 for d in degrees), "all level degrees must be >= 3")
-    lg = _gen_halin(k, degrees)
-    levels = lg.labels["levels"]
+    pdg = _gen_halin(k, degrees)
+    levels = pdg.labels["levels"]
     if k % 3 == 0:
         picked = [0] + [3 * i - 1 for i in range(1, k // 3 + 1)]
     elif k % 3 == 1:
@@ -285,7 +268,7 @@ def halin_dominating_set(k: int, degrees) -> int:
     d_mask = 0
     for i in picked:
         d_mask |= levels[i]
-    g = lg.graph
+    g = pdg.graph
     covered = 0
     for v in bits(d_mask):
         covered |= g.closed[v]

@@ -85,10 +85,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class PartiallyDominatedGraph:
-    """A graph together with a set of vertices declared already dominated."""
+    """A graph together with a set of vertices declared already dominated.
+
+    `labels` names the special vertices of a family instance; it takes no
+    part in equality or hashing."""
 
     graph: Graph
     dominated: int = 0
+    labels: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.dominated & ~self.graph.full_mask:
@@ -231,10 +235,8 @@ def parse_edge_list(text: str) -> PartiallyDominatedGraph:
         if (u, v) in edges:
             raise GraphError(f"repeated edge line {ln!r}")
         edges.add((u, v))
-    g = make_graph(n, edges)
-    if dominated & ~g.full_mask:
-        raise GraphError("dominated ids out of range")
-    return PartiallyDominatedGraph(g, dominated)
+    # The constructor rejects dominated ids outside the graph.
+    return PartiallyDominatedGraph(make_graph(n, edges), dominated)
 
 
 # ---------------------------------------------------------------------------

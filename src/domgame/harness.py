@@ -73,18 +73,14 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _sweep_one(args):
-    graph, dominated, cfg = args
-    solver = Solver(graph, cfg)
-    return solver.game_value(dominated), solver.states_explored
-
-
-def _labeled_key(graph, dominated):
-    return graph.closed, dominated
+    pdg, cfg = args
+    solver = Solver(pdg.graph, cfg)
+    return solver.game_value(pdg.dominated), solver.states_explored
 
 
 def _solve_all(instances, cfg, workers, key=canonical_key):
-    """The game value of every (graph, dominated) pair, in input order, and
-    the batch's solver_stats record.
+    """The game value of every PartiallyDominatedGraph in the list
+    `instances`, in input order, and the batch's solver_stats record.
 
     Instances with equal keys (by default: isomorphic ones) are one
     class; only the first of each class is solved, and the others copy
@@ -92,12 +88,11 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
     sums the states of those solves.  Every order is checked against the
     vertex cap before the first solve, so an over-cap sweep fails before
     it does any work."""
-    instances = list(instances)
-    cfg.check_order(max((graph.n for graph, _ in instances), default=0))
+    cfg.check_order(max((pdg.graph.n for pdg in instances), default=0))
     first = {}
-    owner = [first.setdefault(key(graph, dominated), i)
-             for i, (graph, dominated) in enumerate(instances)]
-    jobs = [(*instances[i], cfg) for i in first.values()]
+    owner = [first.setdefault(key(pdg.graph, pdg.dominated), i)
+             for i, pdg in enumerate(instances)]
+    jobs = [(instances[i], cfg) for i in first.values()]
     if workers <= 1:
         solved = [_sweep_one(job) for job in jobs]
     else:
@@ -147,7 +142,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     else:
         # The identity alone: every orbit is one edge set, every graph
         # its own class.
-        perms, key = [tuple(range(n))], _labeled_key
+        perms, key = [tuple(range(n))], lambda graph, dominated: (graph, dominated)
 
     # Combinations come in lexicographic order, so each orbit is met first
     # at its least member, which is the edge set solved for it.
@@ -160,7 +155,8 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
             orbits.append(orbit)
 
     values, stats = _solve_all(
-        [(add_edges(g, orbit[0]), 0) for orbit in orbits], cfg, workers, key)
+        [PartiallyDominatedGraph(add_edges(g, orbit[0])) for orbit in orbits],
+        cfg, workers, key)
 
     bound = -(-n // 2)
     histogram = {}
@@ -209,15 +205,14 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
         raise ValueError(f"{name} has no instances to solve")
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    graphs = [generate(spec) for spec in specs]
-    values, stats = _solve_all([(lg.graph, lg.dominated) for lg in graphs],
-                               cfg, workers)
+    pdgs = [generate(spec) for spec in specs]
+    values, stats = _solve_all(pdgs, cfg, workers)
 
     rows = []
     mismatches = []
-    for spec, lg, gg in zip(specs, graphs, values):
+    for spec, pdg, gg in zip(specs, pdgs, values):
         rows.append(asdict(ConjectureRow.of(spec.family, spec.describe(),
-                                            lg.graph.n, gg)))
+                                            pdg.graph.n, gg)))
         try:
             known = oracle.known_family_value(spec)
         except ValueError:
@@ -312,11 +307,11 @@ def check_r_equality(n_max: int, *, config: SolverConfig | None = None) -> Exper
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     ns = range(2, n_max + 1)
-    graphs = [generate(spec).graph for spec in r_graph_specs(ns)]
-    values, stats = _solve_all([(g, 0) for g in graphs], cfg, 1)
-    rows = [{"n": n, "order": g.n, "gamma_g": gg, "target": 2 * n + 2,
+    pdgs = [generate(spec) for spec in r_graph_specs(ns)]
+    values, stats = _solve_all(pdgs, cfg, 1)
+    rows = [{"n": n, "order": pdg.graph.n, "gamma_g": gg, "target": 2 * n + 2,
              "equality": gg == 2 * n + 2}
-            for n, g, gg in zip(ns, graphs, values)]
+            for n, pdg, gg in zip(ns, pdgs, values)]
     return ExperimentReport(
         name="r-graph-equality",
         parameters={"n_max": n_max},
@@ -489,8 +484,7 @@ def property_suite(seed: int, trials: int, *,
             budget -= ln + overhead
             fam = ("prime-path" if kind is oracle.PiecePrimeKind.PRIME
                    else "double-prime-path")
-            lg = generate(FamilySpec(fam, {"n": ln}))
-            part = PartiallyDominatedGraph(lg.graph, lg.dominated)
+            part = generate(FamilySpec(fam, {"n": ln}))
             pdg = part if pdg is None else disjoint_union(pdg, part)
         value = Solver(pdg.graph, cfg).game_value(pdg.dominated, Turn.STALLER)
         if value > oracle.union_lemma_bound(pieces):

@@ -18,9 +18,8 @@ def run_cli(*argv):
 
 @pytest.fixture
 def p11_file(tmp_path):
-    lg = generate(FamilySpec("path", {"n": 11}))
     path = tmp_path / "p11.el"
-    path.write_text(format_edge_list(PartiallyDominatedGraph(lg.graph)))
+    path.write_text(format_edge_list(generate(FamilySpec("path", {"n": 11}))))
     return str(path)
 
 
@@ -36,9 +35,8 @@ class TestSolve:
         assert "gamma_g_staller =" in out
 
     def test_fully_dominated(self, tmp_path):
-        lg = generate(FamilySpec("path", {"n": 3}))
         f = tmp_path / "done.el"
-        f.write_text(format_edge_list(PartiallyDominatedGraph(lg.graph)))
+        f.write_text(format_edge_list(generate(FamilySpec("path", {"n": 3}))))
         code, out = run_cli("solve", str(f), "--dominated", "0,1,2")
         assert code == 0
         assert "gamma_g = 0" in out
@@ -140,11 +138,72 @@ class TestEmptySweeps:
             == ["graph_count = 10", "graph_count = 84"]
 
 
+class TestIntegerLists:
+    """Every comma-separated integer option goes through one parser, whose
+    message names the option and the bad text."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("family", "halin", "k=2", "d=3,x"),
+         "bad d= list '3,x': 'x' is not a non-negative integer"),
+        (("sweep", "r-graph", "--n", "2,x"),
+         "bad --n list '2,x': 'x' is not a non-negative integer"),
+        (("family", "fx", "n=3", "w=-1", "x-file=X"),
+         "bad w= list '-1': '-1' is not a non-negative integer"),
+        (("solve", "X", "--dominated", "0,-1"),
+         "bad --dominated list '0,-1': '-1' is not a non-negative integer"),
+    ], ids=["halin-d", "r-graph-n", "fx-w", "solve-dominated"])
+    def test_bad_item_exits_2(self, argv, message, tmp_path, capsys):
+        x_file = tmp_path / "x.el"
+        x_file.write_text("2 1\n0 1\n")
+        argv = [arg.replace("X", str(x_file)) for arg in argv]
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_blank_items_skipped(self, tmp_path):
+        x_file = tmp_path / "x.el"
+        x_file.write_text("2 1\n0 1\n")
+        code, out = run_cli("family", "fx", "n=3", "w=0,,1,", f"x-file={x_file}")
+        assert code == 0 and "n = 5" in out
+
+
+class TestOutputFile:
+    """--output is opened by the command's first write, so a command that
+    fails before it writes leaves an existing file as it was."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "/nonexistent/missing.el"),
+        ("--format", "json", "sweep", "tadpole", "--max-order", "70"),
+        ("sweep", "r-graph", "--n", "2,x"),
+    ], ids=["missing-file", "over-cap-sweep", "bad-list"])
+    def test_failed_command_keeps_old_file(self, argv, tmp_path):
+        out_file = tmp_path / "prev.txt"
+        out_file.write_text("previous report\n")
+        code, out = run_cli("--output", str(out_file), *argv)
+        assert (code, out) == (2, "")
+        assert out_file.read_text() == "previous report\n"
+
+    def test_unwritable_file_fails_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "enumerate_edge_additions",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out = run_cli("--output", "/nonexistent/dir/out.txt", "add-edges",
+                            "--base", "path", "--n", "9", "--k", "2")
+        assert (code, out, calls) == (2, "", [])
+
+    def test_successful_command_replaces_file(self, tmp_path, p11_file):
+        out_file = tmp_path / "prev.txt"
+        out_file.write_text("previous report\n" * 10)
+        code, _ = run_cli("--output", str(out_file), "solve", p11_file)
+        assert code == 0
+        assert out_file.read_text().startswith("gamma_g = 5\n")
+        assert "previous" not in out_file.read_text()
+
+
 class TestGamma:
     def test_p7(self, tmp_path):
-        lg = generate(FamilySpec("path", {"n": 7}))
         f = tmp_path / "p7.el"
-        f.write_text(format_edge_list(PartiallyDominatedGraph(lg.graph)))
+        f.write_text(format_edge_list(generate(FamilySpec("path", {"n": 7}))))
         code, out = run_cli("gamma", str(f))
         assert code == 0
         assert "gamma = 3" in out
@@ -164,16 +223,14 @@ class TestFamily:
         code, _ = run_cli("family", "tadpole", "m=5", "n=3", "--emit", str(f))
         assert code == 0
         reparsed = parse_edge_list(f.read_text())
-        lg = generate(FamilySpec("tadpole", {"m": 5, "n": 3}))
-        assert reparsed.graph == lg.graph
+        assert reparsed == generate(FamilySpec("tadpole", {"m": 5, "n": 3}))
 
     def test_emit_roundtrip_with_dominated(self, tmp_path):
         f = tmp_path / "pp.el"
         code, _ = run_cli("family", "prime-path", "n=4", "--emit", str(f))
         assert code == 0
         reparsed = parse_edge_list(f.read_text())
-        lg = generate(FamilySpec("prime-path", {"n": 4}))
-        assert reparsed == lg.partial
+        assert reparsed == generate(FamilySpec("prime-path", {"n": 4}))
 
     def test_bad_params(self):
         code, _ = run_cli("family", "tadpole", "m=2", "n=1")

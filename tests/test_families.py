@@ -1,8 +1,9 @@
 import pytest
 
 from domgame.analysis import has_hamiltonian_path
+from domgame import oracle
 from domgame.families import (FamilySpec, generate, halin_dominating_set,
-                              hatted_cycle_equivalent_cycle_value, path_graph)
+                              path_graph)
 from domgame.graph import GraphError, add_edges, bits, make_graph, mask_of
 from domgame.solver import Solver
 
@@ -92,14 +93,15 @@ class TestHattedCycle:
         assert not g.has_edge(y, y2)
 
     def test_equivalent_cycle_value(self):
-        assert hatted_cycle_equivalent_cycle_value(9) == 5
-        assert hatted_cycle_equivalent_cycle_value(8) == 4
-        assert hatted_cycle_equivalent_cycle_value(4) == 2
+        for n, value in ((9, 5), (8, 4), (4, 2)):
+            known = oracle.known_family_value(spec("hatted-cycle", n=n))
+            assert known == oracle.KnownValue(value, True)
 
     def test_equivalent_value_matches_solver_small(self):
         for n in range(4, 10):
-            lg = generate(spec("hatted-cycle", n=n))
-            assert Solver(lg.graph).game_value() == hatted_cycle_equivalent_cycle_value(n)
+            s = spec("hatted-cycle", n=n)
+            value = Solver(generate(s).graph).game_value()
+            assert value == oracle.known_family_value(s).value
 
 
 class TestBrokenLadder:

@@ -99,7 +99,7 @@ class TestDisjointUnion:
     def test_prime_pieces_orders(self):
         a = generate(FamilySpec("prime-path", {"n": 1}))
         b = generate(FamilySpec("prime-path", {"n": 2}))
-        u = disjoint_union(a.partial, b.partial)
+        u = disjoint_union(a, b)
         assert u.graph.n == 5
         assert len(components(u.graph)) == 2
         assert u.dominated.bit_count() == 2
@@ -113,7 +113,7 @@ class TestDisjointUnion:
     def test_prime_double_prime_orders(self):
         a = generate(FamilySpec("prime-path", {"n": 4}))
         b = generate(FamilySpec("double-prime-path", {"n": 4}))
-        u = disjoint_union(a.partial, b.partial)
+        u = disjoint_union(a, b)
         assert u.graph.n == 11
         assert u.dominated.bit_count() == 3
 
@@ -152,10 +152,36 @@ def test_structural_invariants_families(family, params):
             assert bool(g.closed[v] & (1 << u)) == bool(g.closed[u] & (1 << v))
 
 
+class TestPartiallyDominatedGraph:
+    def test_labels_take_no_part_in_equality(self):
+        a = PartiallyDominatedGraph(path_graph(4), 0b1001, {"ends": (0, 3)})
+        b = PartiallyDominatedGraph(path_graph(4), 0b1001, {"other": 1})
+        assert a == b and hash(a) == hash(b)
+        assert a != PartiallyDominatedGraph(path_graph(4), 0b1000, a.labels)
+
+    def test_rejects_dominated_ids_outside_graph(self):
+        with pytest.raises(GraphError, match="outside the graph"):
+            PartiallyDominatedGraph(path_graph(3), 0b1000)
+
+
 class TestEdgeListFormat:
     def test_roundtrip_with_dominated(self):
         pdg = PartiallyDominatedGraph(cycle_graph(5), mask_of([0, 3]))
         assert parse_edge_list(format_edge_list(pdg)) == pdg
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("double-prime-path", {"n": 4}),
+        FamilySpec("tadpole", {"m": 5, "n": 3}),
+    ], ids=FamilySpec.describe)
+    def test_generated_instance_roundtrip(self, spec):
+        pdg = generate(spec)
+        assert pdg.labels
+        back = parse_edge_list(format_edge_list(pdg))
+        assert back == pdg and back.labels == {}
+
+    def test_rejects_dominated_id_out_of_range(self):
+        with pytest.raises(GraphError, match="outside the graph"):
+            parse_edge_list("3 1\n0 1\ndominated: 0 3\n")
 
     def test_exact_text(self):
         pdg = PartiallyDominatedGraph(path_graph(3), mask_of([2]))

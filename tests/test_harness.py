@@ -6,7 +6,7 @@ import pytest
 from domgame import harness
 from domgame.canon import canonical_key
 from domgame.families import FamilySpec, generate, path_graph
-from domgame.graph import add_edges, non_edges
+from domgame.graph import PartiallyDominatedGraph, add_edges, non_edges
 from domgame.solver import Solver, SolverConfig, VertexCapExceeded
 
 
@@ -60,7 +60,8 @@ class TestDedup:
         r = harness.enumerate_edge_additions("path", 9, 3)
         assert r.parameters["graph_count"] == 3276
         assert len(solved) == r.solver_stats["instances_solved"] == 706
-        assert len({canonical_key(g, d) for g, d, _ in solved}) == 706
+        assert len({canonical_key(p.graph, p.dominated)
+                    for p, _ in solved}) == 706
 
     def test_two_tailed_one_solve_per_class(self, solved):
         # (m, n, k) and (m, k, n) are the same graph.
@@ -70,21 +71,24 @@ class TestDedup:
         assert len(solved) == r.solver_stats["instances_solved"] == 95
 
     @pytest.mark.parametrize("instances", [
-        lambda: [(lg.graph, lg.dominated) for lg in
-                 map(generate, harness.two_tailed_specs(13))],
+        lambda: [generate(s) for s in harness.two_tailed_specs(13)],
         # Every labeled edge set: each class appears many times.
-        lambda: [(add_edges(path_graph(7), combo), 0) for combo in
-                 itertools.combinations(non_edges(path_graph(7)), 3)],
-    ], ids=["two-tailed-13", "path-7-all-3-edge-sets"])
+        lambda: [PartiallyDominatedGraph(add_edges(path_graph(7), combo))
+                 for combo in itertools.combinations(non_edges(path_graph(7)), 3)],
+        # P_5 with one vertex dominated: the reversal pairs up the ends
+        # and the inner vertices, so five instances fall into three classes.
+        lambda: [PartiallyDominatedGraph(path_graph(5), 1 << v) for v in range(5)],
+    ], ids=["two-tailed-13", "path-7-all-3-edge-sets", "p5-one-dominated"])
     def test_values_match_direct_solves(self, instances):
         instances = instances()
         values, stats = harness._solve_all(instances, SolverConfig(), 1)
         # States of the direct solve of each class's first instance.
         first_states = {}
-        for (g, d), value in zip(instances, values):
-            solver = Solver(g)
-            assert value == solver.game_value(d)
-            first_states.setdefault(canonical_key(g, d), solver.states_explored)
+        for pdg, value in zip(instances, values):
+            solver = Solver(pdg.graph)
+            assert value == solver.game_value(pdg.dominated)
+            first_states.setdefault(canonical_key(pdg.graph, pdg.dominated),
+                                    solver.states_explored)
         assert len(first_states) < len(instances)
         assert stats == {"instances_solved": len(first_states),
                          "states_explored": sum(first_states.values())}
@@ -92,7 +96,7 @@ class TestDedup:
     def test_no_symmetry_solves_every_labeled_edge_set(self, solved):
         r = harness.enumerate_edge_additions("path", 9, 3, symmetry=False)
         assert len(solved) == r.solver_stats["instances_solved"] == 3276
-        assert len({g for g, _, _ in solved}) == 3276
+        assert len({p.graph for p, _ in solved}) == 3276
 
 
 def _without_run_details(report):

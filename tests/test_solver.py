@@ -5,7 +5,7 @@ import pytest
 
 from domgame import cli, harness
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
-from domgame.graph import make_graph, mask_of, bits
+from domgame.graph import PartiallyDominatedGraph, make_graph, mask_of, bits
 from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
                             VertexCapExceeded, domination_number, legal_moves)
 from domgame.oracle import union_lemma_bound, PiecePrimeKind
@@ -152,7 +152,8 @@ class TestVertexCap:
     @pytest.mark.parametrize("refuse, order", [
         (lambda cfg: Solver(path_graph(8), cfg), 8),
         (lambda cfg: domination_number(path_graph(8), cfg), 8),
-        (lambda cfg: harness._solve_all([(path_graph(8), 0)], cfg, 1), 8),
+        (lambda cfg: harness._solve_all(
+            [PartiallyDominatedGraph(path_graph(8))], cfg, 1), 8),
         (lambda cfg: harness.enumerate_edge_additions("path", 8, 2, config=cfg), 8),
         # The add-edges default range for path + 2 edges ends at 14.
         (lambda cfg: cli._cmd_add_edges(cli._build_parser().parse_args(
@@ -247,8 +248,7 @@ class TestSolverInvariants:
                 budget -= ln + overhead
                 fam = ("prime-path" if kind is PiecePrimeKind.PRIME
                        else "double-prime-path")
-                lg = generate(FamilySpec(fam, {"n": ln}))
-                part = lg.partial
+                part = generate(FamilySpec(fam, {"n": ln}))
                 pdg = part if pdg is None else disjoint_union(pdg, part)
             value = Solver(pdg.graph).game_value(pdg.dominated, Turn.STALLER)
             assert value <= union_lemma_bound(pieces)
