@@ -46,7 +46,7 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="domgame",
                                 description="Exact domination game toolkit")
     p.add_argument("--vertex-cap", type=int, default=None,
-                   help="solver refusal threshold (env DOMGAME_CAP also works)")
+                   help="solver refusal threshold")
     p.add_argument("--memo-limit", type=int, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for sweeps, 1..CPU count")
@@ -91,9 +91,6 @@ def _build_parser():
 
     sub.add_parser("verify-tables", help="regenerate the residue-case tables")
 
-    s = sub.add_parser("check-r", help="equality evidence for R-graphs")
-    s.add_argument("--max", type=int, required=True)
-
     s = sub.add_parser("props", help="seeded randomized property suite")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trials", type=int, default=500)
@@ -103,12 +100,6 @@ def _build_parser():
 def _config(args) -> SolverConfig:
     """Validate every resource limit before any command does work."""
     limits = {}
-    env_cap = os.environ.get("DOMGAME_CAP")
-    if env_cap is not None:
-        try:
-            limits["vertex_cap"] = int(env_cap)
-        except ValueError:
-            raise UsageError(f"DOMGAME_CAP is not a decimal integer: {env_cap!r}")
     if args.vertex_cap is not None:
         limits["vertex_cap"] = args.vertex_cap
     if args.memo_limit is not None:
@@ -274,11 +265,6 @@ def _cmd_verify_tables(args, cfg, out):
     return _emit_report(harness.verify_tables(), args, out)
 
 
-def _cmd_check_r(args, cfg, out):
-    report = harness.check_r_equality(args.max, config=cfg)
-    return _emit_report(report, args, out)
-
-
 def _cmd_props(args, cfg, out):
     report = harness.property_suite(args.seed, args.trials, config=cfg)
     return _emit_report(report, args, out)
@@ -291,7 +277,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "add-edges": _cmd_add_edges,
     "verify-tables": _cmd_verify_tables,
-    "check-r": _cmd_check_r,
     "props": _cmd_props,
 }
 

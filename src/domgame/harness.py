@@ -96,8 +96,12 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
     if workers <= 1:
         solved = [_sweep_one(job) for job in jobs]
     else:
+        # Four chunks per worker, the rule of multiprocessing.Pool.map:
+        # large enough to amortize the pickling, small enough that every
+        # worker gets a share of a batch of a few dozen classes.
+        chunksize = max(1, -(-len(jobs) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_sweep_one, jobs, chunksize=64))
+            solved = list(pool.map(_sweep_one, jobs, chunksize=chunksize))
     value_of = {i: value for i, (value, _) in zip(first.values(), solved)}
     stats = {"instances_solved": len(jobs),
              "states_explored": sum(states for _, states in solved)}
@@ -199,13 +203,20 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
 def sweep_family(specs, *, config: SolverConfig | None = None,
                  workers: int = 1, name: str = "family-sweep") -> ExperimentReport:
     """Solve every instance, check the half-order bound, and compare the
-    solver against the closed-form value where one is published."""
+    solver against the closed-form value where one is published.
+
+    Each graph is checked against the vertex cap as soon as it is
+    generated, so an over-cap sweep stops at its first graph over the cap
+    and generates none of the specs after it."""
     specs = list(specs)
     if not specs:
         raise ValueError(f"{name} has no instances to solve")
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    pdgs = [generate(spec) for spec in specs]
+    pdgs = []
+    for spec in specs:
+        pdgs.append(generate(spec))
+        cfg.check_order(pdgs[-1].graph.n)
     values, stats = _solve_all(pdgs, cfg, workers)
 
     rows = []
@@ -291,36 +302,6 @@ def random_fx_specs(count: int, seed: int, max_order: int):
 
 def r_graph_specs(n_values):
     return [FamilySpec("r-graph", {"n": n}) for n in n_values]
-
-
-# ---------------------------------------------------------------------------
-# R-graph equality evidence
-# ---------------------------------------------------------------------------
-
-def check_r_equality(n_max: int, *, config: SolverConfig | None = None) -> ExperimentReport:
-    """Report, for each n, whether the R-graph bound 2n+2 is attained.
-
-    Evidence gathering only: no pass/fail stance is taken on equality.
-    """
-    if n_max < 2:
-        raise ValueError(f"R-graphs start at n = 2; n_max {n_max} leaves none")
-    cfg = config or SolverConfig()
-    t0 = time.perf_counter()
-    ns = range(2, n_max + 1)
-    pdgs = [generate(spec) for spec in r_graph_specs(ns)]
-    values, stats = _solve_all(pdgs, cfg, 1)
-    rows = [{"n": n, "order": pdg.graph.n, "gamma_g": gg, "target": 2 * n + 2,
-             "equality": gg == 2 * n + 2}
-            for n, pdg, gg in zip(ns, pdgs, values)]
-    return ExperimentReport(
-        name="r-graph-equality",
-        parameters={"n_max": n_max},
-        rows=rows,
-        max_value=max((r["gamma_g"] for r in rows), default=None),
-        wall_time=time.perf_counter() - t0,
-        solver_stats=stats,
-        ok=all(r["gamma_g"] <= r["target"] for r in rows),
-    )
 
 
 # ---------------------------------------------------------------------------

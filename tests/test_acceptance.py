@@ -192,11 +192,16 @@ def test_criterion_8_r_graphs():
     r11 = generate(FamilySpec("r-graph", {"n": 2}))
     assert Solver(r11.graph).optimal_first_moves() == r11.graph.full_mask
 
-    evidence = harness.check_r_equality(4)
+    # The R-graph of parameter n has order 4n+3, so the half-order bound
+    # of its sweep row is 2n+2, and is_half_graph is equality with it.
+    evidence = harness.sweep_family(harness.r_graph_specs([2, 3, 4]))
     assert evidence.ok
-    for row in evidence.rows:
-        print(f"r-graph equality evidence: n={row['n']} gamma_g={row['gamma_g']} "
-              f"target={row['target']} equality={row['equality']}")
+    assert [row["n"] for row in evidence.rows] == [11, 15, 19]
+    for n, row in zip((2, 3, 4), evidence.rows):
+        assert row["bound"] == 2 * n + 2
+        assert row["is_half_graph"] == (row["gamma_g"] == 2 * n + 2)
+        print(f"r-graph equality evidence: n={n} gamma_g={row['gamma_g']} "
+              f"target={row['bound']} equality={row['is_half_graph']}")
     _report(8, "r-graph bounds and optimal first moves", t0)
 
 

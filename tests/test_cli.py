@@ -59,11 +59,6 @@ class TestSolve:
         code, _ = run_cli("solve", str(f))
         assert code == 2
 
-    def test_cap_env_override(self, p11_file, monkeypatch):
-        monkeypatch.setenv("DOMGAME_CAP", "5")
-        code, _ = run_cli("solve", p11_file)
-        assert code == 2
-
 
 class TestLimits:
     """Resource limits, the vertex cap included, are checked before any
@@ -78,14 +73,11 @@ class TestLimits:
         # Over the cap: orders 4..6 of the range fit, 7..14 do not.
         ("--vertex-cap", "6", "add-edges", "--base", "path", "--k", "2"),
         ("family", "path", "n=30", "--solve"),
+        # Above the 64 vertices a graph can hold.
+        ("--vertex-cap", "100", *FAMILY),
     ])
     def test_bad_limit_exits_2_silently(self, argv):
         code, out = run_cli(*argv)
-        assert (code, out) == (2, "")
-
-    def test_env_cap_above_graph_capacity(self, monkeypatch):
-        monkeypatch.setenv("DOMGAME_CAP", "100")
-        code, out = run_cli(*self.FAMILY)
         assert (code, out) == (2, "")
 
     def test_full_warning_goes_to_stderr(self, monkeypatch, capsys):
@@ -100,6 +92,14 @@ class TestLimits:
         code, out = run_cli("sweep", "fx", "--max-order", "4")
         assert (code, out) == (2, "")
         assert "fx max order must be at least 5" in capsys.readouterr().err
+
+    def test_over_cap_sweep_names_the_cap(self, capsys):
+        # Tadpoles up to order 70: generation stops at the first one over
+        # the cap, before any exceeds the 64 vertices a graph can hold.
+        code, out = run_cli("sweep", "tadpole", "--max-order", "70")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: graph order 27 exceeds solver cap 26\n"
 
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
         # `family` starts no pool, so no worker process is created.
@@ -120,8 +120,8 @@ class TestEmptySweeps:
         (("sweep", "tadpole", "--max-order", "3"),
          "sweep-tadpole has no instances to solve"),
         (("sweep", "fx", "--count", "0"), "sweep-fx has no instances to solve"),
-        (("check-r", "--max", "1"), "R-graphs start at n = 2; n_max 1 leaves none"),
-    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "check-r-max-1"])
+        (("sweep", "r-graph", "--n", ","), "sweep-r-graph has no instances to solve"),
+    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "r-graph-n-empty"])
     def test_exits_2_silently(self, argv, message, capsys):
         code, out = run_cli(*argv)
         assert (code, out) == (2, "")
@@ -260,9 +260,10 @@ class TestReports:
         assert code == 1
         assert "ok = False" in out
 
-    def test_check_r(self):
-        code, out = run_cli("check-r", "--max", "2")
+    def test_sweep_r_graph(self):
+        code, out = run_cli("sweep", "r-graph", "--n", "2")
         assert code == 0
+        assert "ok = True" in out
 
     def test_add_edges_json(self, tmp_path):
         out_file = tmp_path / "report.json"
@@ -312,10 +313,10 @@ class TestReportFormats:
     @pytest.mark.parametrize("argv", [
         ("sweep", "tadpole", "--max-order", "6"),
         ("add-edges", "--base", "path", "--n", "8", "--k", "2"),
-        ("check-r", "--max", "3"),
+        ("sweep", "r-graph", "--n", "2,3"),
         ("verify-tables",),
         ("props", "--seed", "1", "--trials", "5"),
-    ], ids=lambda argv: argv[0])
+    ], ids=["sweep", "add-edges", "sweep-r-graph", "verify-tables", "props"])
     def test_csv_columns_are_row_keys(self, argv):
         _, doc = run_cli("--format", "json", *argv)
         rows = json.loads(doc)["rows"]
@@ -340,8 +341,8 @@ class TestReportFormats:
         counts = [int(row["count"]) for row in csv.DictReader(io.StringIO(out))]
         assert sum(counts) == json.loads(doc)["parameters"]["graph_count"] == 210
 
-    def test_check_r_reports_solver_stats(self):
-        _, doc = run_cli("--format", "json", "check-r", "--max", "3")
+    def test_sweep_r_graph_reports_solver_stats(self):
+        _, doc = run_cli("--format", "json", "sweep", "r-graph", "--n", "2,3")
         stats = json.loads(doc)["solver_stats"]
         assert stats["instances_solved"] == 2
         assert stats["states_explored"] > 0

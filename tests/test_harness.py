@@ -16,10 +16,11 @@ class TestSolveAll:
         lambda cfg: harness.sweep_family(harness.hatted_cycle_specs(4, 12),
                                          config=cfg),
         # R-graphs of order 11, 15, ..., 27: only the first fits.
-        lambda cfg: harness.check_r_equality(6, config=cfg),
+        lambda cfg: harness.sweep_family(harness.r_graph_specs(range(2, 7)),
+                                         config=cfg),
         lambda cfg: harness.enumerate_edge_additions("path", 12, 2,
                                                      config=cfg),
-    ], ids=["sweep_family", "check_r_equality", "enumerate_edge_additions"])
+    ], ids=["sweep_family", "sweep_family_r_graph", "enumerate_edge_additions"])
     def test_cap_checked_before_first_solve(self, sweep, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_sweep_one", calls.append)
@@ -27,7 +28,8 @@ class TestSolveAll:
             sweep(SolverConfig(vertex_cap=11))
         assert calls == []
 
-    def test_sweep_family_generates_each_spec_once(self, monkeypatch):
+    @pytest.fixture
+    def generated(self, monkeypatch):
         calls = []
 
         def counting_generate(spec):
@@ -35,9 +37,20 @@ class TestSolveAll:
             return generate(spec)
 
         monkeypatch.setattr(harness, "generate", counting_generate)
+        return calls
+
+    def test_sweep_family_generates_each_spec_once(self, generated):
         specs = harness.hatted_cycle_specs(4, 9)
         harness.sweep_family(specs)
-        assert calls == specs
+        assert generated == specs
+
+    def test_sweep_family_stops_generating_over_cap(self, generated):
+        # Hatted cycles of order 5..13: the eighth, of order 12, is the
+        # first over the cap, and the last is never generated.
+        specs = harness.hatted_cycle_specs(4, 12)
+        with pytest.raises(VertexCapExceeded, match="graph order 12 exceeds"):
+            harness.sweep_family(specs, config=SolverConfig(vertex_cap=11))
+        assert generated == specs[:8]
 
 
 class TestDedup:
@@ -182,15 +195,21 @@ class TestSweepFamily:
 
 
 class TestCheckREquality:
+    """R-graph equality evidence is the r-graph family sweep: its bound
+    is 2n+2 for the R-graph of parameter n, and is_half_graph says
+    whether that bound is attained."""
+
     def test_n2(self):
-        r = harness.check_r_equality(2)
-        assert r.rows == [{"n": 2, "order": 11, "gamma_g": 6,
-                           "target": 6, "equality": True}]
+        r = harness.sweep_family(harness.r_graph_specs([2]))
+        assert r.rows == [{"family": "r-graph", "params": "r-graph(n=2)",
+                           "n": 11, "gamma_g": 6, "bound": 6, "holds": True,
+                           "is_half_graph": True}]
         assert r.ok
 
     def test_cap_guard(self):
         with pytest.raises(ValueError):
-            harness.check_r_equality(6, config=SolverConfig(vertex_cap=20))
+            harness.sweep_family(harness.r_graph_specs(range(2, 7)),
+                                 config=SolverConfig(vertex_cap=20))
 
 
 class TestVerifyTables:
