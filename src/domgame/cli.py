@@ -33,7 +33,7 @@ _SWEEPS = {
     "broken-ladder": lambda a: harness.broken_ladder_specs(a.k_max),
     "cycle-chord": lambda a: harness.cycle_chord_specs(a.max_order or 18),
     "fx": lambda a: harness.random_fx_specs(a.count, a.seed, a.max_order or 18),
-    "r-graph": lambda a: harness.r_graph_specs(_int_list("--n", a.n or "2,3,4")),
+    "r-graph": lambda a: harness.r_graph_specs(_int_list("--n", a.n)),
 }
 
 
@@ -78,7 +78,7 @@ def _build_parser():
     s.add_argument("--k-max", type=int, default=3)
     s.add_argument("--count", type=int, default=50)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--n", default=None, help="comma-separated n values")
+    s.add_argument("--n", default="2,3,4", help="comma-separated n values")
 
     s = sub.add_parser("add-edges", help="enumerate edge additions to a path/cycle")
     s.add_argument("--base", choices=("path", "cycle"), required=True)

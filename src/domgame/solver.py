@@ -5,6 +5,14 @@ move must newly dominate at least one vertex.  A game value is the least k
 for which "does the game from this (dominated bitmask, turn) end within k
 moves?" holds, answered by alpha-beta with a per-turn table of (lo, hi)
 bounds kept across queries: MTD(f)'s memory-enhanced test (Plaat et al. 1996).
+
+The search skips every move whose dominated set is contained in another
+move's (on Dominator's turn) or contains another move's (on Staller's).
+By the Continuation Principle (Kinnersley, West & Zamani 2013; Brešar,
+Klavžar & Rall 2010) a larger dominated set never lengthens the game, for
+either player to move, so a skipped move is never better for its player
+than a kept one.  Stored bounds of skipped children are still read, and
+`optimal_first_moves` still tries every legal move.
 """
 
 from __future__ import annotations
@@ -54,6 +62,22 @@ def legal_moves(g: Graph, dominated: int) -> int:
     return sum(1 << v for v in range(g.n) if g.closed[v] & ~dominated)
 
 
+def extremal_children(order: list[int], dom: bool):
+    """Yield, lazily, the inclusion-maximal children if dom (`order` is
+    largest first) or the inclusion-minimal ones (`order` is smallest
+    first).  Distinct children are compared: one strictly inside (around)
+    another comes later in `order`, and a skipped child is inside (around)
+    a kept one, so comparing with the kept children suffices."""
+    kept = []
+    for t in order:
+        for u in kept:
+            if t | u == (u if dom else t):
+                break
+        else:
+            kept.append(t)
+            yield t
+
+
 class Solver:
     """One graph, two bounds tables (one per turn).  Not thread-shared."""
 
@@ -100,13 +124,16 @@ class Solver:
         lo, hi = bounds
         if lo <= k < hi:
             # First look for a child whose stored bounds already answer
-            # (an unstored child reads as (0, k), which answers neither).
+            # (an unstored child reads as (0, k), which answers neither),
+            # then search the extremal children only.
             if dom:
                 ok = (any(child.get(t, (0, k))[1] < k for t in order)
-                      or any(self._test(t, False, k - 1) for t in order))
+                      or any(self._test(t, False, k - 1)
+                             for t in extremal_children(order, True)))
             else:
                 ok = (all(child.get(t, (0, k))[0] < k for t in order)
-                      and all(self._test(t, True, k - 1) for t in order))
+                      and all(self._test(t, True, k - 1)
+                              for t in extremal_children(order, False)))
             lo, hi = (lo, k) if ok else (k + 1, hi)
         table[s] = (lo, hi)
         if len(table) + len(child) > self.config.memo_limit:

@@ -224,7 +224,7 @@ class TestSolverInvariants:
         # exact value, whatever line of play first reached the state.
         rng = random.Random(53)
         for _ in range(10):
-            g = _random_graph(rng, 9, 0.3)
+            g = _random_graph(rng, 10, 0.3)
             s = Solver(g)
             s.game_value()
             s.game_value(0, Turn.STALLER)
