@@ -121,7 +121,9 @@ class TestEmptySweeps:
          "sweep-tadpole has no instances to solve"),
         (("sweep", "fx", "--count", "0"), "sweep-fx has no instances to solve"),
         (("sweep", "r-graph", "--n", ","), "sweep-r-graph has no instances to solve"),
-    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "r-graph-n-empty"])
+        (("sweep", "r-graph", "--n", ""), "sweep-r-graph has no instances to solve"),
+    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "r-graph-n-empty",
+            "r-graph-n-blank"])
     def test_exits_2_silently(self, argv, message, capsys):
         code, out = run_cli(*argv)
         assert (code, out) == (2, "")

@@ -7,7 +7,8 @@ from domgame import cli, harness
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import PartiallyDominatedGraph, make_graph, mask_of, bits
 from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
-                            VertexCapExceeded, domination_number, legal_moves)
+                            VertexCapExceeded, domination_number,
+                            extremal_children, legal_moves)
 from domgame.oracle import union_lemma_bound, PiecePrimeKind
 from domgame.graph import disjoint_union
 
@@ -173,6 +174,59 @@ class TestVertexCap:
             refuse(SolverConfig(vertex_cap=6))
         assert str(exc.value) == f"graph order {order} exceeds solver cap 6"
         assert checked == [order]
+
+
+class TestExtremalChildren:
+    """By the Continuation Principle the search needs only the
+    inclusion-maximal children on Dominator's turn and the inclusion-minimal
+    ones on Staller's."""
+
+    @pytest.mark.parametrize("dom", [True, False], ids=["dominator", "staller"])
+    def test_matches_brute_force_filter(self, dom):
+        rng = random.Random(83)
+        for _ in range(300):
+            children = {rng.getrandbits(6) for _ in range(rng.randint(1, 12))}
+            order = sorted(children, key=int.bit_count, reverse=dom)
+            # u strictly around t (dom) or strictly inside t (Staller).
+            beaten = ((lambda t, u: u != t and t & u == t) if dom
+                      else (lambda t, u: u != t and t & u == u))
+            expected = [t for t in order
+                        if not any(beaten(t, u) for u in children)]
+            assert list(extremal_children(order, dom)) == expected
+
+    @pytest.mark.parametrize("dom", [True, False], ids=["dominator", "staller"])
+    def test_lazy(self, dom):
+        # A cutoff after the first child must not filter the rest.
+        consumed = []
+
+        def order():
+            for t in sorted((0b0011, 0b0111, 0b1000), key=int.bit_count,
+                            reverse=dom):
+                consumed.append(t)
+                yield t
+        next(extremal_children(order(), dom))
+        assert len(consumed) == 1
+
+    @pytest.mark.parametrize("g", [
+        make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+        path_graph(2),
+    ], ids=["K4", "P2"])
+    def test_optimal_first_moves_tries_every_move(self, g):
+        # Every move dominates the whole graph, so the search sees one
+        # distinct child, and every vertex is optimal.
+        for turn in Turn:
+            assert Solver(g).optimal_first_moves(0, turn) == g.full_mask
+
+    @pytest.mark.parametrize("g, ceiling", [
+        (path_graph(20), 3_200),
+        (cycle_graph(20), 3_900),
+    ], ids=["P20", "C20"])
+    def test_dominator_start_state_ceiling(self, g, ceiling):
+        # Searching every distinct child stores 6 400 (P_20) and 7 470
+        # (C_20) states.
+        s = Solver(g)
+        assert s.game_value() == 10
+        assert s.states_explored <= ceiling
 
 
 class TestSolverInvariants:
