@@ -208,29 +208,40 @@ def _gen_r_prime_11():
     return PartiallyDominatedGraph(g, labels={"extra_edges": R_PRIME_11_EXTRA_EDGES})
 
 
+def _halin_order(k, degrees):
+    # Level i holds d_0 * ... * d_{i-1} vertices, for i = 0..k.
+    order = level = 1
+    for d in degrees[:k]:
+        level *= d
+        order += level
+    return order
+
+
+# family -> (builder, parameter names, order as a function of the parameters)
 _BUILDERS = {
-    "path": (_gen_path, ("n",)),
-    "cycle": (_gen_cycle, ("n",)),
-    "prime-path": (_gen_prime_path, ("n",)),
-    "double-prime-path": (_gen_double_prime_path, ("n",)),
-    "tadpole": (_gen_tadpole, ("m", "n")),
-    "two-tailed-tadpole": (_gen_two_tailed_tadpole, ("m", "n", "k")),
-    "hatted-cycle": (_gen_hatted_cycle, ("n",)),
-    "broken-ladder": (_gen_broken_ladder, ("k",)),
-    "cycle-chord": (_gen_cycle_chord, ("n", "i")),
-    "fx": (_gen_fx, ("x", "n", "w")),
-    "halin": (_gen_halin, ("k", "d")),
-    "r-graph": (_gen_r_graph, ("n",)),
-    "r-prime-11": (_gen_r_prime_11, ()),
+    "path": (_gen_path, ("n",), lambda n: n),
+    "cycle": (_gen_cycle, ("n",), lambda n: n),
+    "prime-path": (_gen_prime_path, ("n",), lambda n: n + 1),
+    "double-prime-path": (_gen_double_prime_path, ("n",), lambda n: n + 2),
+    "tadpole": (_gen_tadpole, ("m", "n"), lambda m, n: m + n),
+    "two-tailed-tadpole": (_gen_two_tailed_tadpole, ("m", "n", "k"),
+                           lambda m, n, k: m + n + k),
+    "hatted-cycle": (_gen_hatted_cycle, ("n",), lambda n: n + 1),
+    "broken-ladder": (_gen_broken_ladder, ("k",), lambda k: 4 * k + 8),
+    "cycle-chord": (_gen_cycle_chord, ("n", "i"), lambda n, i: n),
+    "fx": (_gen_fx, ("x", "n", "w"), lambda x, n, w: x.n + n),
+    "halin": (_gen_halin, ("k", "d"), _halin_order),
+    "r-graph": (_gen_r_graph, ("n",), lambda n: 4 * n + 3),
+    "r-prime-11": (_gen_r_prime_11, (), lambda: 11),
 }
 
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 
-def generate(spec: FamilySpec) -> PartiallyDominatedGraph:
-    """Build the instance described by a family spec."""
+def _entry(spec: FamilySpec):
+    """The spec's builder and order function, with its arguments in order."""
     try:
-        builder, arg_names = _BUILDERS[spec.family]
+        builder, arg_names, order = _BUILDERS[spec.family]
     except KeyError:
         raise GraphError(f"unknown family {spec.family!r}") from None
     missing = [a for a in arg_names if a not in spec.params]
@@ -239,7 +250,21 @@ def generate(spec: FamilySpec) -> PartiallyDominatedGraph:
     extra = [a for a in spec.params if a not in arg_names]
     if extra:
         raise GraphError(f"{spec.family} got unexpected parameters {extra}")
-    return builder(*(spec.params[a] for a in arg_names))
+    return builder, order, [spec.params[a] for a in arg_names]
+
+
+def generate(spec: FamilySpec) -> PartiallyDominatedGraph:
+    """Build the instance described by a family spec."""
+    builder, _, args = _entry(spec)
+    return builder(*args)
+
+
+def family_order(spec: FamilySpec) -> int:
+    """The order of `generate(spec)`'s graph, without building it, so a
+    vertex cap can be checked first.  Parameter constraints are left to
+    `generate`."""
+    _, order, args = _entry(spec)
+    return order(*args)
 
 
 def halin_dominating_set(k: int, degrees) -> int:

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 from . import oracle
 from .analysis import ConjectureRow, has_hamiltonian_path
 from .canon import canonical_form, canonical_key, group_elements
-from .families import FamilySpec, generate, path_graph, cycle_graph
+from .families import (FamilySpec, cycle_graph, family_order, generate,
+                       path_graph)
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
                     disjoint_union, is_connected, make_graph, non_edges)
 from .solver import Solver, SolverConfig, Turn, domination_number
@@ -205,9 +206,9 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     """Solve every instance, check the half-order bound, and compare the
     solver against the closed-form value where one is published.
 
-    Each graph is checked against the vertex cap as soon as it is
-    generated, so an over-cap sweep stops at its first graph over the cap
-    and generates none of the specs after it."""
+    Each spec's order is checked against the vertex cap before its graph
+    is generated, so an over-cap sweep stops at its first spec over the
+    cap and generates neither it nor any spec after it."""
     specs = list(specs)
     if not specs:
         raise ValueError(f"{name} has no instances to solve")
@@ -215,8 +216,8 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     t0 = time.perf_counter()
     pdgs = []
     for spec in specs:
+        cfg.check_order(family_order(spec))
         pdgs.append(generate(spec))
-        cfg.check_order(pdgs[-1].graph.n)
     values, stats = _solve_all(pdgs, cfg, workers)
 
     rows = []

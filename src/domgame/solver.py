@@ -13,6 +13,12 @@ Klavžar & Rall 2010) a larger dominated set never lengthens the game, for
 either player to move, so a skipped move is never better for its player
 than a kept one.  Stored bounds of skipped children are still read, and
 `optimal_first_moves` still tries every legal move.
+
+`_test` makes two passes over a state's children, largest gain first on
+Dominator's turn and smallest first on Staller's: the transposition pass
+stops at the first child whose stored bounds decide the test, and the
+search pass recurses into the kept children and stops at the first result
+that decides it.
 """
 
 from __future__ import annotations
@@ -62,22 +68,6 @@ def legal_moves(g: Graph, dominated: int) -> int:
     return sum(1 << v for v in range(g.n) if g.closed[v] & ~dominated)
 
 
-def extremal_children(order: list[int], dom: bool):
-    """Yield, lazily, the inclusion-maximal children if dom (`order` is
-    largest first) or the inclusion-minimal ones (`order` is smallest
-    first).  Distinct children are compared: one strictly inside (around)
-    another comes later in `order`, and a skipped child is inside (around)
-    a kept one, so comparing with the kept children suffices."""
-    kept = []
-    for t in order:
-        for u in kept:
-            if t | u == (u if dom else t):
-                break
-        else:
-            kept.append(t)
-            yield t
-
-
 class Solver:
     """One graph, two bounds tables (one per turn).  Not thread-shared."""
 
@@ -123,17 +113,34 @@ class Solver:
             bounds = (-(-undominated // gain), undominated)
         lo, hi = bounds
         if lo <= k < hi:
-            # First look for a child whose stored bounds already answer
-            # (an unstored child reads as (0, k), which answers neither),
-            # then search the extremal children only.
-            if dom:
-                ok = (any(child.get(t, (0, k))[1] < k for t in order)
-                      or any(self._test(t, False, k - 1)
-                             for t in extremal_children(order, True)))
+            # Dominator succeeds at the first child that ends within k - 1
+            # moves, Staller fails at the first that does not.  First look
+            # for a child whose stored bounds already answer (an unstored
+            # child reads as (0, k), which answers neither), then search
+            # the extremal children only: a child is skipped when an
+            # earlier kept child contains it (Dominator, largest first) or
+            # is contained in it (Staller, smallest first).  The kept
+            # children suffice: a child strictly inside (around) another
+            # comes later in `order`, and a skipped child is inside
+            # (around) a kept one.
+            ok = not dom
+            unknown = (0, k)
+            for t in order:
+                t_lo, t_hi = child.get(t, unknown)
+                if t_hi < k if dom else t_lo >= k:
+                    ok = dom
+                    break
             else:
-                ok = (all(child.get(t, (0, k))[0] < k for t in order)
-                      and all(self._test(t, True, k - 1)
-                              for t in extremal_children(order, False)))
+                kept = []
+                for t in order:
+                    for u in kept:
+                        if t | u == (u if dom else t):
+                            break
+                    else:
+                        kept.append(t)
+                        if self._test(t, not dom, k - 1) is dom:
+                            ok = dom
+                            break
             lo, hi = (lo, k) if ok else (k + 1, hi)
         table[s] = (lo, hi)
         if len(table) + len(child) > self.config.memo_limit:

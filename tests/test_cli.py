@@ -101,6 +101,14 @@ class TestLimits:
         assert capsys.readouterr().err == \
             "error: graph order 27 exceeds solver cap 26\n"
 
+    def test_over_cap_beyond_64_vertices_names_the_cap(self, capsys):
+        # The r-graph of n = 20 has 83 vertices, more than a graph can
+        # hold; the cap is checked on its order before it is built.
+        code, out = run_cli("sweep", "r-graph", "--n", "20")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: graph order 83 exceeds solver cap 26\n"
+
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
         # `family` starts no pool, so no worker process is created.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)

@@ -2,8 +2,8 @@ import pytest
 
 from domgame.analysis import has_hamiltonian_path
 from domgame import oracle
-from domgame.families import (FamilySpec, generate, halin_dominating_set,
-                              path_graph)
+from domgame.families import (FAMILY_NAMES, FamilySpec, family_order,
+                              generate, halin_dominating_set, path_graph)
 from domgame.graph import GraphError, add_edges, bits, make_graph, mask_of
 from domgame.solver import Solver
 
@@ -12,23 +12,35 @@ def spec(family, **params):
     return FamilySpec(family, params)
 
 
+ORDER_CASES = [
+    (spec("tadpole", m=3, n=1), 4),
+    (spec("tadpole", m=7, n=5), 12),
+    (spec("two-tailed-tadpole", m=4, n=3, k=2), 9),
+    (spec("hatted-cycle", n=9), 10),
+    (spec("broken-ladder", k=0), 8),
+    (spec("broken-ladder", k=2), 16),
+    (spec("cycle-chord", n=10, i=5), 10),
+    (spec("halin", k=3, d=[4, 2, 3]), 37),
+    (spec("halin", k=2, d=[3, 3]), 13),
+    (spec("r-graph", n=2), 11),
+    (spec("prime-path", n=4), 5),
+    (spec("double-prime-path", n=4), 6),
+    (spec("path", n=7), 7),
+    (spec("cycle", n=7), 7),
+    (spec("fx", x=path_graph(3), n=5, w=1), 8),
+    (spec("r-prime-11"), 11),
+]
+
+
 class TestOrders:
-    @pytest.mark.parametrize("s,order", [
-        (spec("tadpole", m=3, n=1), 4),
-        (spec("tadpole", m=7, n=5), 12),
-        (spec("two-tailed-tadpole", m=4, n=3, k=2), 9),
-        (spec("hatted-cycle", n=9), 10),
-        (spec("broken-ladder", k=0), 8),
-        (spec("broken-ladder", k=2), 16),
-        (spec("cycle-chord", n=10, i=5), 10),
-        (spec("halin", k=3, d=[4, 2, 3]), 37),
-        (spec("halin", k=2, d=[3, 3]), 13),
-        (spec("r-graph", n=2), 11),
-        (spec("prime-path", n=4), 5),
-        (spec("double-prime-path", n=4), 6),
-    ])
+    @pytest.mark.parametrize("s,order", ORDER_CASES)
     def test_order_formula(self, s, order):
         assert generate(s).graph.n == order
+        # The cap is checked on this order before the graph is built.
+        assert family_order(s) == order
+
+    def test_every_family_has_a_case(self):
+        assert {s.family for s, _ in ORDER_CASES} == set(FAMILY_NAMES)
 
 
 class TestParameterValidation:

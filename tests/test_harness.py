@@ -46,11 +46,11 @@ class TestSolveAll:
 
     def test_sweep_family_stops_generating_over_cap(self, generated):
         # Hatted cycles of order 5..13: the eighth, of order 12, is the
-        # first over the cap, and the last is never generated.
+        # first over the cap; its order is checked before it is generated.
         specs = harness.hatted_cycle_specs(4, 12)
         with pytest.raises(VertexCapExceeded, match="graph order 12 exceeds"):
             harness.sweep_family(specs, config=SolverConfig(vertex_cap=11))
-        assert generated == specs[:8]
+        assert generated == specs[:7]
 
 
 class TestDedup:

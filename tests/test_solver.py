@@ -7,13 +7,16 @@ from domgame import cli, harness
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import PartiallyDominatedGraph, make_graph, mask_of, bits
 from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
-                            VertexCapExceeded, domination_number,
-                            extremal_children, legal_moves)
+                            VertexCapExceeded, domination_number, legal_moves)
 from domgame.oracle import union_lemma_bound, PiecePrimeKind
 from domgame.graph import disjoint_union
 
 from helpers import (naive_domination_number, naive_game_value,
                      naive_optimal_first_moves)
+
+
+def _family(name, n):
+    return generate(FamilySpec(name, {"n": n}))
 
 
 def _random_graph(rng, n, p):
@@ -181,32 +184,6 @@ class TestExtremalChildren:
     inclusion-maximal children on Dominator's turn and the inclusion-minimal
     ones on Staller's."""
 
-    @pytest.mark.parametrize("dom", [True, False], ids=["dominator", "staller"])
-    def test_matches_brute_force_filter(self, dom):
-        rng = random.Random(83)
-        for _ in range(300):
-            children = {rng.getrandbits(6) for _ in range(rng.randint(1, 12))}
-            order = sorted(children, key=int.bit_count, reverse=dom)
-            # u strictly around t (dom) or strictly inside t (Staller).
-            beaten = ((lambda t, u: u != t and t & u == t) if dom
-                      else (lambda t, u: u != t and t & u == u))
-            expected = [t for t in order
-                        if not any(beaten(t, u) for u in children)]
-            assert list(extremal_children(order, dom)) == expected
-
-    @pytest.mark.parametrize("dom", [True, False], ids=["dominator", "staller"])
-    def test_lazy(self, dom):
-        # A cutoff after the first child must not filter the rest.
-        consumed = []
-
-        def order():
-            for t in sorted((0b0011, 0b0111, 0b1000), key=int.bit_count,
-                            reverse=dom):
-                consumed.append(t)
-                yield t
-        next(extremal_children(order(), dom))
-        assert len(consumed) == 1
-
     @pytest.mark.parametrize("g", [
         make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
         path_graph(2),
@@ -227,6 +204,31 @@ class TestExtremalChildren:
         s = Solver(g)
         assert s.game_value() == 10
         assert s.states_explored <= ceiling
+
+
+class TestExplorationPins:
+    """Exact state counts from a fresh Solver.  The order in which children
+    are tried (ties between equal gains included), the filter and both
+    passes over the children all move these counts, so a change that
+    should leave the search alone must leave them alone too."""
+
+    @pytest.mark.parametrize("start, turn, value, states", [
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 3_043),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 3_696),
+        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 7_074),
+        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 10_064),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 3_432),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_764),
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_193),
+        (_family("r-graph", 4), Turn.DOMINATOR, 10, 2_219),
+        # Staller starts; both ends are already dominated.
+        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_483),
+    ], ids=["P20-D", "C20-D", "P22-D", "C22-D", "P20-S", "C20-S",
+            "hatted-cycle17-D", "r-graph4-D", "double-prime-path18-S"])
+    def test_states_explored(self, start, turn, value, states):
+        s = Solver(start.graph)
+        assert s.game_value(start.dominated, turn) == value
+        assert s.states_explored == states
 
 
 class TestSolverInvariants:
