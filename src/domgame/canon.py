@@ -19,7 +19,9 @@ dominated set, and every automorphism preserves it.
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from itertools import combinations
+
+from .graph import Graph, bits, non_edges
 
 
 def canonical_form(graph: Graph, dominated: int = 0):
@@ -43,22 +45,32 @@ def canonical_key(graph: Graph, dominated: int = 0):
     return canonical_form(graph, dominated)[0]
 
 
-def group_elements(generators, n: int):
-    """The set of permutations of 0..n-1 that the generators generate.
-
-    Every element is listed, so this suits small groups only, such as
-    the 2n symmetries of C_n; K_n's group has n! elements."""
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for s in generators:
-            h = tuple(s[v] for v in g)
-            if h not in elements:
-                elements.add(h)
-                frontier.append(h)
-    return elements
+def edge_set_orbits(graph: Graph, k: int, generators):
+    """The orbits of the k-sets of non-edges of `graph` under the group of
+    `generators`: sorted lists of edge sets (sorted tuples of pairs u < v),
+    by least member, each one edge set closed under the generators."""
+    pairs = non_edges(graph)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    perms = [[index[min(g[u], g[v]), max(g[u], g[v])] for u, v in pairs]
+             for g in generators]
+    # Indices follow the pairs' lexicographic order, so index tuples sort
+    # as their edge sets do, and each orbit is met at its least member.
+    seen = set()
+    orbits = []
+    for combo in combinations(range(len(pairs)), k):
+        if combo in seen:
+            continue
+        orbit, frontier = {combo}, [combo]
+        while frontier:
+            member = frontier.pop()
+            for perm in perms:
+                image = tuple(sorted([perm[i] for i in member]))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        orbits.append([tuple([pairs[i] for i in m]) for m in sorted(orbit)])
+    return orbits
 
 
 def _refine(adj, cells, splitters):

@@ -25,14 +25,19 @@ from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
 DESK_CAPS = {("path", 2): 14, ("path", 3): 12, ("cycle", 2): 14, ("cycle", 3): 12}
 FULL_CAPS = {("path", 2): 21, ("path", 3): 15, ("cycle", 2): 24, ("cycle", 3): 20}
 
+def _or(value, default):
+    """An option's value, or `default` when the option was not given."""
+    return default if value is None else value
+
+
 # Sweepable families and the specs each one sweeps, from the parsed options.
 _SWEEPS = {
-    "tadpole": lambda a: harness.tadpole_specs(a.max_order or 20),
-    "two-tailed-tadpole": lambda a: harness.two_tailed_specs(a.max_order or 18),
-    "hatted-cycle": lambda a: harness.hatted_cycle_specs(a.lo, a.hi or 21),
+    "tadpole": lambda a: harness.tadpole_specs(_or(a.max_order, 20)),
+    "two-tailed-tadpole": lambda a: harness.two_tailed_specs(_or(a.max_order, 18)),
+    "hatted-cycle": lambda a: harness.hatted_cycle_specs(a.lo, _or(a.hi, 21)),
     "broken-ladder": lambda a: harness.broken_ladder_specs(a.k_max),
-    "cycle-chord": lambda a: harness.cycle_chord_specs(a.max_order or 18),
-    "fx": lambda a: harness.random_fx_specs(a.count, a.seed, a.max_order or 18),
+    "cycle-chord": lambda a: harness.cycle_chord_specs(_or(a.max_order, 18)),
+    "fx": lambda a: harness.random_fx_specs(a.count, a.seed, _or(a.max_order, 18)),
     "r-graph": lambda a: harness.r_graph_specs(_int_list("--n", a.n)),
 }
 
@@ -190,11 +195,12 @@ def _cmd_solve(args, cfg, out):
             raise UsageError(f"--dominated id out of range in {args.dominated!r}")
     turn = Turn.DOMINATOR if args.start == "dominator" else Turn.STALLER
     solver = Solver(pdg.graph, cfg)
+    # Both answers before the first write: a limit failure prints nothing.
     value = solver.game_value(dominated, turn)
+    moves = solver.optimal_first_moves(dominated, turn) if value else 0
     key = "gamma_g" if turn is Turn.DOMINATOR else "gamma_g_staller"
     out.write(f"{key} = {value}\n")
     if value:
-        moves = solver.optimal_first_moves(dominated, turn)
         out.write("optimal_first_moves = "
                   + ",".join(str(v) for v in bits(moves)) + "\n")
     return 0
@@ -212,7 +218,8 @@ def _cmd_family(args, cfg, out):
         pdg = generate(spec)
     except GraphError as exc:
         raise UsageError(str(exc))
-    solver = Solver(pdg.graph, cfg) if args.solve else None
+    # Solved before the first write or --emit: a limit failure leaves neither.
+    value = Solver(pdg.graph, cfg).game_value(pdg.dominated) if args.solve else None
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(format_edge_list(pdg))
@@ -222,7 +229,6 @@ def _cmd_family(args, cfg, out):
     if args.emit:
         out.write(f"emitted = {args.emit}\n")
     if args.solve:
-        value = solver.game_value(pdg.dominated)
         out.write(f"gamma_g = {value}\n")
     return 0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import random
 import time
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import oracle
 from .analysis import ConjectureRow, has_hamiltonian_path
-from .canon import canonical_form, canonical_key, group_elements
+from .canon import canonical_form, canonical_key, edge_set_orbits
 from .families import (FamilySpec, cycle_graph, family_order, generate,
                        path_graph)
 from .graph import (Graph, PartiallyDominatedGraph, add_edges, bits,
@@ -113,11 +112,6 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
 # Edge-addition sweeps
 # ---------------------------------------------------------------------------
 
-def _apply_perm(edge_set, perm):
-    return tuple(sorted(tuple(sorted((perm[u], perm[v])))
-                        for u, v in edge_set))
-
-
 def enumerate_edge_additions(base: str, n: int, k: int, *,
                              config: SolverConfig | None = None,
                              symmetry: bool = True,
@@ -138,51 +132,38 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     cfg.check_order(n)
     t0 = time.perf_counter()
     g = path_graph(n) if base == "path" else cycle_graph(n)
-    pairs = non_edges(g)
-    if len(pairs) < k:
-        raise ValueError(f"{base} of order {n} has {len(pairs)} non-edges, "
-                         f"too few to add {k}")
     if symmetry:
-        perms, key = group_elements(canonical_form(g)[1], n), canonical_key
+        generators, key = canonical_form(g)[1], canonical_key
     else:
-        # The identity alone: every orbit is one edge set, every graph
-        # its own class.
-        perms, key = [tuple(range(n))], lambda graph, dominated: (graph, dominated)
-
-    # Combinations come in lexicographic order, so each orbit is met first
-    # at its least member, which is the edge set solved for it.
-    orbits = []
-    seen = set()
-    for combo in itertools.combinations(pairs, k):
-        if combo not in seen:
-            orbit = sorted({_apply_perm(combo, p) for p in perms})
-            seen.update(orbit)
-            orbits.append(orbit)
+        # No generators: one edge set per orbit, one graph per class.
+        generators, key = [], lambda graph, dominated: (graph, dominated)
+    # Each orbit's least member is the edge set solved for it.
+    orbits = edge_set_orbits(g, k, generators)
+    if not orbits:
+        raise ValueError(f"{base} of order {n} has {len(non_edges(g))} "
+                         f"non-edges, too few to add {k}")
 
     values, stats = _solve_all(
         [PartiallyDominatedGraph(add_edges(g, orbit[0])) for orbit in orbits],
         cfg, workers, key)
 
     bound = -(-n // 2)
+    max_value = max(values)
     histogram = {}
-    max_value = 0
     witnesses = []
-    violations = []
+    violations = 0
     for orbit, value in zip(orbits, values):
         histogram[value] = histogram.get(value, 0) + len(orbit)
-        if value > max_value:
-            max_value = value
-            witnesses = []
         if value == max_value:
             witnesses.extend([list(e) for e in member] for member in orbit)
         if value > bound:
-            violations.extend(orbit)
+            violations += len(orbit)
     witnesses.sort()
     rows = [{"gamma_g": v, "count": c} for v, c in sorted(histogram.items())]
     report = ExperimentReport(
         name=f"{base}-plus-{k}-edges",
         parameters={"base": base, "n": n, "edges_added": k,
-                    "symmetry": symmetry, "graph_count": len(seen),
+                    "symmetry": symmetry, "graph_count": sum(map(len, orbits)),
                     "bound": bound},
         rows=rows,
         max_value=max_value,
@@ -193,7 +174,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     )
     if violations:
         report.notes.append(
-            f"bound {bound} exceeded by {len(violations)} edge sets")
+            f"bound {bound} exceeded by {violations} edge sets")
     return report
 
 

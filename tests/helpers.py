@@ -54,3 +54,33 @@ def naive_hamiltonian_endpoints(g: Graph):
         if all(g.has_edge(perm[i], perm[i + 1]) for i in range(g.n - 1)):
             endpoints |= (1 << perm[0]) | (1 << perm[-1])
     return endpoints != 0, endpoints
+
+
+def group_closure(generators, n: int):
+    """Every permutation of 0..n-1 that the generators generate, by closing
+    the identity under them; the group is listed, so keep it small."""
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            h = tuple(s[v] for v in g)
+            if h not in elements:
+                elements.add(h)
+                frontier.append(h)
+    return elements
+
+
+def naive_edge_set_orbits(g: Graph, k: int, elements):
+    """The orbits of the k-sets of non-edges of g under the listed group
+    `elements`, each a sorted list of sorted edge tuples, sorted by their
+    least members."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if not g.has_edge(u, v)]
+    orbits = set()
+    for combo in itertools.combinations(pairs, k):
+        orbits.add(frozenset(
+            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in combo))
+            for p in elements))
+    return sorted(sorted(orbit) for orbit in orbits)

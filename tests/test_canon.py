@@ -1,11 +1,15 @@
+import itertools
+import math
 import random
 import time
 
 import pytest
 
-from domgame.canon import canonical_form, canonical_key, group_elements
+from domgame.canon import canonical_form, canonical_key, edge_set_orbits
 from domgame.families import cycle_graph, path_graph
-from domgame.graph import Graph, make_graph
+from domgame.graph import Graph, make_graph, non_edges
+
+from helpers import group_closure, naive_edge_set_orbits
 
 
 def complete(n):
@@ -156,7 +160,7 @@ class TestGenerators:
     def test_group_order(self, g, order):
         _, generators = canonical_form(g)
         assert_automorphisms(g, 0, generators)
-        assert len(group_elements(generators, g.n)) == order
+        assert len(group_closure(generators, g.n)) == order
 
     def test_generators_preserve_dominated_set(self):
         rng = random.Random(5)
@@ -168,7 +172,39 @@ class TestGenerators:
         # C_6 with two opposite vertices dominated keeps the reflection
         # through them and the half turn: 4 of the 12 elements.
         _, generators = canonical_form(cycle_graph(6), 0b001001)
-        assert len(group_elements(generators, 6)) == 4
+        assert len(group_closure(generators, 6)) == 4
+
+
+class TestEdgeSetOrbits:
+    def test_matches_listed_group(self):
+        # The closure of each edge set under the generators against the
+        # partition of all k-sets under every listed group element.
+        rng = random.Random(17)
+        for _ in range(100):
+            g, d = random_pair(rng, rng.randint(2, 7))
+            generators = canonical_form(g, d)[1]
+            elements = group_closure(generators, g.n)
+            for k in (1, 2):
+                assert edge_set_orbits(g, k, generators) == \
+                    naive_edge_set_orbits(g, k, elements), (g, d, k)
+
+    def test_no_generators_gives_singletons(self):
+        g = path_graph(6)
+        assert edge_set_orbits(g, 2, []) == \
+            [[combo] for combo in itertools.combinations(non_edges(g), 2)]
+
+    @pytest.mark.parametrize("g, k, count", [
+        (make_graph(12, []), 2, 2),
+        (make_graph(12, []), 3, 5),
+        (complete_bipartite(6, 6), 2, 3),
+        (complete_bipartite(6, 6), 3, 7),
+    ], ids=["empty12-k2", "empty12-k3", "K6,6-k2", "K6,6-k3"])
+    def test_groups_too_large_to_list(self, g, k, count):
+        # |Aut| is 12! and 2 (6!)^2: the orbits of the k-edge graphs on
+        # the complement, without the group ever being listed.
+        orbits = edge_set_orbits(g, k, canonical_form(g)[1])
+        assert len(orbits) == count
+        assert sum(map(len, orbits)) == math.comb(len(non_edges(g)), k)
 
 
 @pytest.mark.parametrize("g", [complete(12), make_graph(12, []),

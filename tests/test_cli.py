@@ -88,10 +88,26 @@ class TestLimits:
         assert out.startswith("{")
         assert "full range up to n=5" in capsys.readouterr().err
 
-    def test_fx_max_order_below_5(self, capsys):
-        code, out = run_cli("sweep", "fx", "--max-order", "4")
+    @pytest.mark.parametrize("max_order", ["4", "0"])
+    def test_fx_max_order_below_5(self, max_order, capsys):
+        code, out = run_cli("sweep", "fx", "--max-order", max_order)
         assert (code, out) == (2, "")
         assert "fx max order must be at least 5" in capsys.readouterr().err
+
+    def test_memo_limit_solve_writes_nothing(self, p11_file, capsys):
+        # The value fits in 60 entries and the optimal first moves do not;
+        # both are computed before the first write.
+        code, out = run_cli("--memo-limit", "60", "solve", p11_file)
+        assert (code, out) == (2, "")
+        assert "tables exceeded 60 entries" in capsys.readouterr().err
+
+    def test_memo_limit_family_writes_nothing(self, tmp_path, capsys):
+        emitted = tmp_path / "p11.el"
+        code, out = run_cli("--memo-limit", "20", *self.FAMILY,
+                            "--emit", str(emitted))
+        assert (code, out) == (2, "")
+        assert not emitted.exists()
+        assert "tables exceeded 20 entries" in capsys.readouterr().err
 
     def test_over_cap_sweep_names_the_cap(self, capsys):
         # Tadpoles up to order 70: generation stops at the first one over
@@ -127,11 +143,19 @@ class TestEmptySweeps:
          "cycle of order 4 has 2 non-edges, too few to add 3"),
         (("sweep", "tadpole", "--max-order", "3"),
          "sweep-tadpole has no instances to solve"),
+        # 0 is a range like any other, not a missing option.
+        (("sweep", "tadpole", "--max-order", "0"),
+         "sweep-tadpole has no instances to solve"),
+        (("sweep", "hatted-cycle", "--to", "0"),
+         "sweep-hatted-cycle has no instances to solve"),
+        (("sweep", "cycle-chord", "--max-order", "0"),
+         "sweep-cycle-chord has no instances to solve"),
         (("sweep", "fx", "--count", "0"), "sweep-fx has no instances to solve"),
         (("sweep", "r-graph", "--n", ","), "sweep-r-graph has no instances to solve"),
         (("sweep", "r-graph", "--n", ""), "sweep-r-graph has no instances to solve"),
-    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "fx-count-0", "r-graph-n-empty",
-            "r-graph-n-blank"])
+    ], ids=["add-edges-c4-k3", "tadpole-max-order-3", "tadpole-max-order-0",
+            "hatted-cycle-to-0", "cycle-chord-max-order-0", "fx-count-0",
+            "r-graph-n-empty", "r-graph-n-blank"])
     def test_exits_2_silently(self, argv, message, capsys):
         code, out = run_cli(*argv)
         assert (code, out) == (2, "")
