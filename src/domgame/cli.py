@@ -25,12 +25,12 @@ from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
 DESK_CAPS = {("path", 2): 14, ("path", 3): 12, ("cycle", 2): 14, ("cycle", 3): 12}
 FULL_CAPS = {("path", 2): 21, ("path", 3): 15, ("cycle", 2): 24, ("cycle", 3): 20}
 
+
 def _or(value, default):
-    """An option's value, or `default` when the option was not given."""
     return default if value is None else value
 
 
-# Sweepable families and the specs each one sweeps, from the parsed options.
+# Sweepable families and their specs; an unset option (None) gets its default.
 _SWEEPS = {
     "tadpole": lambda a: harness.tadpole_specs(_or(a.max_order, 20)),
     "two-tailed-tadpole": lambda a: harness.two_tailed_specs(_or(a.max_order, 18)),
