@@ -2,9 +2,9 @@
 and a conjecture-sweep harness."""
 
 from .graph import (Graph, PartiallyDominatedGraph, GraphError, make_graph,
-                    add_edges, non_edges, disjoint_union, components,
-                    is_connected, bits, mask_of, format_edge_list,
-                    parse_edge_list, to_graph6, from_graph6, MAX_VERTICES)
+                    add_edges, non_edges, disjoint_union, is_connected, bits,
+                    mask_of, format_edge_list, parse_edge_list, to_graph6,
+                    from_graph6, MAX_VERTICES)
 from .solver import (Turn, Solver, SolverConfig, MemoLimitExceeded,
                      VertexCapExceeded, legal_moves, domination_number)
 from .oracle import (QuarterWeight, PiecePrimeKind, KnownValue, weight,
@@ -14,6 +14,6 @@ from .oracle import (QuarterWeight, PiecePrimeKind, KnownValue, weight,
 from .families import (FamilySpec, generate, halin_dominating_set, path_graph,
                        cycle_graph, FAMILY_NAMES)
 from .analysis import (has_hamiltonian_path, classify_unicyclic,
-                       UnicyclicClass, ConjectureRow, check_half_conjecture)
+                       UnicyclicClass)
 
 __version__ = "0.1.0"

@@ -1,11 +1,10 @@
-"""Traceability, unicyclic classification and single-graph conjecture checks."""
+"""Traceability and unicyclic classification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graph import Graph, bits, is_connected
-from .solver import Solver, SolverConfig
 
 HAMILTONIAN_CAP = 24
 
@@ -18,10 +17,6 @@ def has_hamiltonian_path(g: Graph):
     """
     if g.n > HAMILTONIAN_CAP:
         raise ValueError(f"order {g.n} exceeds Hamiltonian-path cap {HAMILTONIAN_CAP}")
-    if g.n == 0:
-        return False, 0
-    if g.n == 1:
-        return True, 1
     n = g.n
     adj = [g.adj(v) for v in range(n)]
     full = (1 << n) - 1
@@ -108,33 +103,3 @@ def classify_unicyclic(g: Graph) -> UnicyclicClass:
         n1, k1 = max(tails), min(tails)
         return UnicyclicClass("two-tailed-tadpole", (m, n1, k1))
     return NOT_TRACEABLE
-
-
-@dataclass(frozen=True)
-class ConjectureRow:
-    family: str
-    params: str
-    n: int
-    gamma_g: int
-    bound: int
-    holds: bool
-    is_half_graph: bool
-
-    @classmethod
-    def of(cls, family: str, params: str, n: int, gamma_g: int) -> "ConjectureRow":
-        """The row of a solved graph of order n against the bound ceil(n/2)."""
-        bound = -(-n // 2)
-        return cls(family, params, n, gamma_g, bound,
-                   gamma_g <= bound, gamma_g == bound)
-
-
-def check_half_conjecture(g: Graph, config: SolverConfig | None = None,
-                          family: str = "graph", params: str = "") -> ConjectureRow:
-    """Solve the D-game and compare against the half-order bound.
-
-    Requires a traceable input; the bound is only conjectured for those.
-    """
-    exists, _ = has_hamiltonian_path(g)
-    if not exists:
-        raise ValueError("graph is not traceable")
-    return ConjectureRow.of(family, params, g.n, Solver(g, config).game_value())

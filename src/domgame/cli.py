@@ -14,7 +14,8 @@ import os
 import sys
 
 from . import harness
-from .families import FAMILY_NAMES, FamilySpec, cycle_graph, generate, path_graph
+from .families import (FAMILY_NAMES, FamilySpec, cycle_graph, family_order,
+                       generate, path_graph)
 from .graph import (GraphError, PartiallyDominatedGraph, bits, format_edge_list,
                     mask_of, non_edges, parse_edge_list)
 from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
@@ -215,6 +216,8 @@ def _cmd_gamma(args, cfg, out):
 def _cmd_family(args, cfg, out):
     try:
         spec = FamilySpec(args.name, _parse_params(args.params))
+        if args.solve:
+            cfg.check_order(family_order(spec))
         pdg = generate(spec)
     except GraphError as exc:
         raise UsageError(str(exc))

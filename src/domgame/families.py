@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import analysis
-from .graph import (Graph, GraphError, PartiallyDominatedGraph, add_edges,
-                    bits, make_graph, mask_of)
+from .graph import (MAX_VERTICES, Graph, GraphError, PartiallyDominatedGraph,
+                    add_edges, bits, make_graph, mask_of)
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,12 @@ def _entry(spec: FamilySpec):
 
 
 def generate(spec: FamilySpec) -> PartiallyDominatedGraph:
-    """Build the instance described by a family spec."""
-    builder, _, args = _entry(spec)
+    """Build the instance described by a family spec.  An order above
+    MAX_VERTICES is refused before the builder allocates anything."""
+    builder, order, args = _entry(spec)
+    n = order(*args)
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     return builder(*args)
 
 

@@ -158,28 +158,18 @@ def disjoint_union(a: PartiallyDominatedGraph,
     return PartiallyDominatedGraph(g, a.dominated | (b.dominated << na))
 
 
-def components(g: Graph):
-    """Connected components as a list of vertex bitmasks, by smallest vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen & (1 << v):
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.closed[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        out.append(comp)
-        seen |= comp
-    return out
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    """Whether one breadth-first search from vertex 0 reaches every vertex."""
+    if g.n == 0:
+        return True
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= g.closed[u]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen == g.full_mask
 
 
 # ---------------------------------------------------------------------------

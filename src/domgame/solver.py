@@ -175,17 +175,7 @@ def domination_number(g: Graph, config: SolverConfig | None = None) -> int:
         return 0
     full = g.full_mask
     rows = g.closed
-
-    # Greedy incumbent: repeatedly take the vertex covering the most
-    # undominated vertices.
-    dominated = 0
-    greedy = 0
-    while dominated != full:
-        v = max(range(g.n), key=lambda u: (rows[u] & ~dominated).bit_count())
-        dominated |= rows[v]
-        greedy += 1
-    best = greedy
-
+    best = g.n  # the whole vertex set dominates
     max_cover = max(row.bit_count() for row in rows)
 
     def bb(dominated: int, used: int):

@@ -1,10 +1,9 @@
 import random
-from dataclasses import asdict
 
 import pytest
 
-from domgame.analysis import (ConjectureRow, check_half_conjecture,
-                              classify_unicyclic, has_hamiltonian_path)
+from domgame import harness
+from domgame.analysis import classify_unicyclic, has_hamiltonian_path
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import make_graph, mask_of
 
@@ -28,11 +27,13 @@ class TestHamiltonianPath:
 
     def test_matches_permutation_search(self):
         rng = random.Random(13)
+        graphs = [make_graph(0, []), make_graph(1, [])]
         for _ in range(40):
             n = rng.randint(1, 7)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < 0.4]
-            g = make_graph(n, edges)
+            graphs.append(make_graph(n, edges))
+        for g in graphs:
             assert has_hamiltonian_path(g) == naive_hamiltonian_endpoints(g)
 
     def test_cap(self):
@@ -85,37 +86,54 @@ class TestClassifyUnicyclic:
 
 
 class TestConjectureCheck:
+    """The half-order rows of `harness.sweep_family`."""
+
+    KEYS = ["family", "params", "n", "gamma_g", "bound", "holds",
+            "is_half_graph"]
+
+    @staticmethod
+    def row(family, **params):
+        report = harness.sweep_family([FamilySpec(family, params)])
+        (row,) = report.rows
+        return row
+
     def test_p11(self):
-        row = check_half_conjecture(path_graph(11))
-        assert (row.gamma_g, row.bound, row.holds, row.is_half_graph) == \
-            (5, 6, True, False)
+        row = self.row("path", n=11)
+        assert (row["gamma_g"], row["bound"], row["holds"],
+                row["is_half_graph"]) == (5, 6, True, False)
 
     def test_r11(self):
-        lg = generate(FamilySpec("r-graph", {"n": 2}))
-        row = check_half_conjecture(lg.graph)
-        assert (row.gamma_g, row.bound, row.holds, row.is_half_graph) == \
-            (6, 6, True, True)
+        row = self.row("r-graph", n=2)
+        assert (row["n"], row["gamma_g"], row["bound"], row["holds"],
+                row["is_half_graph"]) == (11, 6, 6, True, True)
 
     def test_c8(self):
-        row = check_half_conjecture(cycle_graph(8))
-        assert (row.gamma_g, row.bound, row.is_half_graph) == (4, 4, True)
+        row = self.row("cycle", n=8)
+        assert (row["gamma_g"], row["bound"], row["is_half_graph"]) == \
+            (4, 4, True)
 
-    def test_rejects_non_traceable(self):
-        star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        with pytest.raises(ValueError):
-            check_half_conjecture(star)
-
-    def test_holds_flag_consistency(self):
-        for gg in (4, 5, 6):
-            row = asdict(ConjectureRow.of("path", "n=9", 9, gg))
+    def test_holds_flag_consistency(self, monkeypatch):
+        # Three orders of 9 (bound 5) whose solves read 4, 5 and 6.
+        monkeypatch.setattr(harness, "_solve_all",
+                            lambda pdgs, cfg, workers: ([4, 5, 6], {}))
+        report = harness.sweep_family([FamilySpec("path", {"n": 9})] * 3)
+        assert [list(row) for row in report.rows] == [self.KEYS] * 3
+        assert [row["gamma_g"] for row in report.rows] == [4, 5, 6]
+        for row in report.rows:
             assert row["bound"] == 5
-            assert row["holds"] == (gg <= 5)
-            assert row["is_half_graph"] == (gg == 5)
+            assert row["holds"] == (row["gamma_g"] <= 5)
+            assert row["is_half_graph"] == (row["gamma_g"] == 5)
+        assert not report.ok
+        assert "half-order bound violated; see rows" in report.notes
 
     def test_random_traceable_unicyclic_hold(self):
         rng = random.Random(3)
+        specs = []
         for _ in range(20):
             m = rng.randint(3, 10)
             n = rng.randint(1, 16 - m) if m < 16 else 1
-            lg = generate(FamilySpec("tadpole", {"m": m, "n": n}))
-            assert check_half_conjecture(lg.graph).holds
+            specs.append(FamilySpec("tadpole", {"m": m, "n": n}))
+        report = harness.sweep_family(specs)
+        assert len(report.rows) == 20
+        assert all(row["holds"] for row in report.rows)
+        assert report.ok

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from domgame import cli, harness
+from domgame import cli, families, harness
 from domgame.families import FamilySpec, generate
 from domgame.graph import (PartiallyDominatedGraph, format_edge_list,
                            parse_edge_list)
@@ -278,6 +278,21 @@ class TestFamily:
         code, out = run_cli("family", "broken-ladder", "k=1", "--solve")
         assert code == 0
         assert "gamma_g = 6" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        # 68 vertices, more than a graph can hold.
+        (("broken-ladder", "k=15"), "vertex count 68 outside [0, 64]"),
+        (("path", "n=100", "--solve"), "graph order 100 exceeds solver cap 26"),
+    ], ids=["over-64", "over-cap"])
+    def test_order_refused_before_building(self, argv, message, monkeypatch,
+                                           capsys):
+        built = []
+        make_graph = families.make_graph
+        monkeypatch.setattr(families, "make_graph",
+                            lambda n, edges: built.append(n) or make_graph(n, edges))
+        code, out = run_cli("family", *argv)
+        assert (code, out, built) == (2, "", [])
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestReports:

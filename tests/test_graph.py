@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domgame.graph import (GraphError, PartiallyDominatedGraph, add_edges,
-                           components, disjoint_union, format_edge_list,
-                           from_graph6, make_graph, mask_of, non_edges,
+                           disjoint_union, format_edge_list, from_graph6,
+                           is_connected, make_graph, mask_of, non_edges,
                            parse_edge_list, to_graph6)
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 
@@ -95,13 +95,39 @@ class TestNonEdges:
         assert len(non_edges(path_graph(5))) == 6
 
 
+class TestIsConnected:
+    @pytest.mark.parametrize("n, edges, connected", [
+        (0, [], True),
+        (1, [], True),
+        (2, [], False),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], True),
+        # Vertex 0 isolated; the rest is a triangle.
+        (4, [(1, 2), (2, 3), (1, 3)], False),
+        # Vertex 0 reaches the rest only through the last vertex.
+        (4, [(0, 3), (1, 3), (2, 3)], True),
+    ], ids=["E0", "K1", "E2", "P5", "isolated-0", "star-at-3"])
+    def test_cases(self, n, edges, connected):
+        assert is_connected(make_graph(n, edges)) is connected
+
+    @given(random_graph_strategy(7))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cut_check(self, g):
+        # Connected iff every proper nonempty vertex set containing
+        # vertex 0 has an edge leaving it.
+        cut_free = any(
+            not any(g.closed[v] & ~s for v in range(g.n) if s >> v & 1)
+            for s in range(1, g.full_mask, 2))
+        assert is_connected(g) is not cut_free
+
+
 class TestDisjointUnion:
     def test_prime_pieces_orders(self):
         a = generate(FamilySpec("prime-path", {"n": 1}))
         b = generate(FamilySpec("prime-path", {"n": 2}))
         u = disjoint_union(a, b)
         assert u.graph.n == 5
-        assert len(components(u.graph)) == 2
+        assert is_connected(a.graph) and is_connected(b.graph)
+        assert not is_connected(u.graph)
         assert u.dominated.bit_count() == 2
 
     def test_fully_dominated_union(self):
@@ -124,10 +150,11 @@ class TestDisjointUnion:
 
     @given(random_graph_strategy(6), random_graph_strategy(6))
     @settings(max_examples=50, deadline=None)
-    def test_component_counts_add(self, a, b):
+    def test_edge_lists_add(self, a, b):
         u = disjoint_union(PartiallyDominatedGraph(a, 0),
                            PartiallyDominatedGraph(b, 0))
-        assert len(components(u.graph)) == len(components(a)) + len(components(b))
+        assert u.graph.edges() == a.edges() + [(x + a.n, y + a.n)
+                                               for x, y in b.edges()]
 
 
 @given(random_graph_strategy())

@@ -243,8 +243,7 @@ class TestPropertySuite:
         assert r.ok
         names = [row["property"] for row in r.rows]
         assert names == ["continuation-principle", "union-bound",
-                         "gamma-sandwich", "search-soundness",
-                         "edge-removal-drop-2-evidence"]
+                         "gamma-sandwich", "search-soundness"]
 
     def test_seeded_reproducible(self):
         a = harness.property_suite(seed=3, trials=10)

@@ -142,9 +142,13 @@ class TestDominationNumber:
 
     def test_random_agreement(self):
         rng = random.Random(5)
+        # The edgeless graphs (n = 0, K_1, E_2..E_8) need every vertex: the
+        # order is the search's starting bound and, here, the answer.
+        graphs = [make_graph(n, []) for n in range(9)]
         for _ in range(30):
             n = rng.randint(1, 8)
-            g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
+            graphs.append(_random_graph(rng, n, rng.uniform(0.2, 0.7)))
+        for g in graphs:
             assert domination_number(g) == naive_domination_number(g)
 
     def test_cap(self):
