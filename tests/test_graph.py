@@ -112,12 +112,12 @@ class TestIsConnected:
     @given(random_graph_strategy(7))
     @settings(max_examples=100, deadline=None)
     def test_matches_cut_check(self, g):
-        # Connected iff every proper nonempty vertex set containing
-        # vertex 0 has an edge leaving it.
-        cut_free = any(
+        # Disconnected iff some proper vertex set containing vertex 0 has
+        # no edge leaving it.
+        splits = any(
             not any(g.closed[v] & ~s for v in range(g.n) if s >> v & 1)
             for s in range(1, g.full_mask, 2))
-        assert is_connected(g) is not cut_free
+        assert is_connected(g) is not splits
 
 
 class TestDisjointUnion:
