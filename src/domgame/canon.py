@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, bits, non_edges
+from .graph import Graph, non_edges
 
 
 def canonical_form(graph: Graph, dominated: int = 0):
@@ -81,6 +81,9 @@ def _refine(adj, cells, splitters):
     cell's position, fewest neighbours first.  A split cell still in the
     queue is replaced there by all its parts, any other by all but its
     first largest part (Hopcroft's rule).
+
+    A vertex outside the union of W's neighbourhoods has no neighbour in
+    W, so only the vertices of a cell inside that union are counted.
     """
     queue = list(splitters)
     pending = set(queue)
@@ -91,33 +94,53 @@ def _refine(adj, cells, splitters):
         if w not in pending:
             continue
         pending.discard(w)
-        single = not w & (w - 1)
-        if single:
-            touched = adj[w.bit_length() - 1]
-        else:
-            touched = 0
-            for v in bits(w):
-                touched |= adj[v]
+        rest = w & (w - 1)
         refined = []
+        if not rest:
+            # One neighbour in w or none: a cell splits into the part
+            # outside w's neighbourhood and the part inside it.
+            touched = adj[w.bit_length() - 1]
+            for c in cells:
+                inside = c & touched
+                if not inside or inside == c:
+                    refined.append(c)
+                    continue
+                outside = c ^ inside
+                refined += (outside, inside)
+                if c in pending:
+                    pending.discard(c)
+                    queue += (outside, inside)
+                    pending.update((outside, inside))
+                else:
+                    small = (inside if outside.bit_count() >= inside.bit_count()
+                             else outside)
+                    queue.append(small)
+                    pending.add(small)
+            cells = refined
+            continue
+        touched = adj[(w ^ rest).bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            touched |= adj[low.bit_length() - 1]
+            rest ^= low
         for c in cells:
-            if not c & touched or not c & (c - 1):
+            inside = c & touched
+            if not inside or not c & (c - 1):
                 refined.append(c)
                 continue
-            if single:
-                # One neighbour in w or none.
-                parts = [c & ~touched, c & touched]
-                if not parts[0]:
-                    refined.append(c)
-                    continue
-            else:
-                counts = {}
-                for v in bits(c):
-                    k = (adj[v] & w).bit_count()
-                    counts[k] = counts.get(k, 0) | (1 << v)
-                if len(counts) == 1:
-                    refined.append(c)
-                    continue
-                parts = [counts[k] for k in sorted(counts)]
+            outside = c ^ inside
+            counts = {}
+            while inside:
+                low = inside & -inside
+                k = (adj[low.bit_length() - 1] & w).bit_count()
+                counts[k] = counts.get(k, 0) | low
+                inside ^= low
+            if len(counts) == 1 and not outside:
+                refined.append(c)
+                continue
+            parts = [counts[k] for k in sorted(counts)]
+            if outside:
+                parts.insert(0, outside)
             refined.extend(parts)
             if c in pending:
                 pending.discard(c)
@@ -136,9 +159,8 @@ class _Search:
 
     def __init__(self, adj):
         self.adj = adj
-        self.neighbours = [list(bits(row)) for row in adj]
         self.generators = []
-        self.first = None       # (path, labeling, rows) of the first leaf
+        self.first = None       # (path, cells, rows) of the first leaf
         self.best = None        # the same for the greatest leaf so far
 
     def run(self, cells, path=()):
@@ -154,47 +176,67 @@ class _Search:
         at = cells.index(target)
         depth = len(path)
         searched = 0
-        for v in bits(target):
-            if searched >> v & 1:
+        rest = target
+        while rest:
+            single = rest & -rest
+            rest ^= single
+            if searched & single:
                 continue
-            single = 1 << v
             child = cells[:at] + [single, target ^ single] + cells[at + 1:]
-            back = self.run(_refine(self.adj, child, [single]), path + (v,))
+            back = self.run(_refine(self.adj, child, [single]),
+                            path + (single.bit_length() - 1,))
             if back is not None and back < depth:
                 return back
             searched = self._orbit(searched | single, path)
         return None
 
     def _leaf(self, cells, path):
-        labeling = [c.bit_length() - 1 for c in cells]
-        bit = [0] * len(labeling)
-        for i, v in enumerate(labeling):
-            bit[v] = 1 << i
-        rows = tuple(sum([bit[u] for u in self.neighbours[v]]) for v in labeling)
-        leaf = (path, labeling, rows)
+        """Relabel the graph by the discrete partition `cells`: vertex v
+        in cells[i] becomes i, and row i of the result is the relabeled
+        neighbourhood of v, read from `adj` a lowest bit at a time."""
+        new_bit = {c: 1 << i for i, c in enumerate(cells)}
+        adj = self.adj
+        rows = []
+        for c in cells:
+            m = adj[c.bit_length() - 1]
+            row = 0
+            while m:
+                low = m & -m
+                row |= new_bit[low]
+                m ^= low
+            rows.append(row)
+        rows = tuple(rows)
+        leaf = (path, cells, rows)
         if self.first is None:
             self.first = self.best = leaf
             return None
         for seen in (self.first, self.best):
-            if leaf[2] == seen[2]:
-                # seen[1][i] -> labeling[i] maps the graph onto itself.
-                perm = [0] * len(labeling)
-                for u, v in zip(seen[1], labeling):
-                    perm[u] = v
+            if rows == seen[2]:
+                # The vertex of seen[1][i] -> that of cells[i] maps the
+                # graph onto itself.
+                perm = [0] * len(cells)
+                for a, b in zip(seen[1], cells):
+                    perm[a.bit_length() - 1] = b.bit_length() - 1
                 self.generators.append(tuple(perm))
                 return _common_prefix(path, seen[0])
-        if leaf[2] > self.best[2]:
+        if rows > self.best[2]:
             self.best = leaf
         return None
 
     def _orbit(self, mask, path):
         """`mask` closed under the generators that fix `path` pointwise."""
         gens = [g for g in self.generators if all(g[v] == v for v in path)]
+        if not gens:
+            return mask
         while True:
             grown = mask
-            for g in gens:
-                for v in bits(mask):
+            m = mask
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                for g in gens:
                     grown |= 1 << g[v]
+                m ^= low
             if grown == mask:
                 return mask
             mask = grown

@@ -154,6 +154,10 @@ def _parse_params(items):
             params[key] = mask_of(_int_list("w=", val))
         elif key == "x-file":
             params["x"] = _load(val).graph
+        elif key == "x":
+            # fx's building graph is a graph, not a number.
+            raise UsageError(f"parameter {item!r}: give the building graph "
+                             "as x-file=PATH")
         else:
             try:
                 params[key] = int(val)

@@ -44,16 +44,24 @@ class Graph:
             raise GraphError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
         if len(self.closed) != self.n:
             raise GraphError("closed neighborhood row count != n")
+        closed = self.closed
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.closed):
+        for v, row in enumerate(closed):
             if row & ~full:
                 raise GraphError(f"row {v} sets bits beyond vertex count")
             if not row & (1 << v):
                 raise GraphError(f"row {v} misses its own diagonal bit")
-        for v in range(self.n):
-            for u in bits(self.closed[v]):
-                if not self.closed[u] & (1 << v):
+        # Every graph built passes here, so the lowest-bit loop is inline;
+        # it visits the pairs in the same order as `bits`, v then u.
+        for v, row in enumerate(closed):
+            bit = 1 << v
+            row ^= bit
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not closed[u] & bit:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def full_mask(self) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from domgame.canon import canonical_form, canonical_key, edge_set_orbits
+from domgame.canon import _refine, canonical_form, canonical_key, edge_set_orbits
 from domgame.families import cycle_graph, path_graph
 from domgame.graph import Graph, make_graph, non_edges
 
@@ -69,6 +70,22 @@ def assert_automorphisms(g, dominated, generators):
     for perm in generators:
         assert sorted(perm) == list(range(g.n))
         assert relabel(g, dominated, perm) == (g, dominated)
+
+
+def assert_equitable_refinement(adj, cells, refined):
+    # A partition of the same vertices whose cells lie in the input's,
+    # in the input's cell order.
+    assert sum(refined) == sum(cells) == sum(1 << v for v in range(len(adj)))
+    assert sum(c.bit_count() for c in refined) == len(adj)
+    owners = [next(i for i, c in enumerate(cells) if part & c == part)
+              for part in refined]
+    assert owners == sorted(owners)
+    # Equitable: the vertices of a cell have equally many neighbours in
+    # every cell.
+    for x in refined:
+        for y in refined:
+            assert len({(adj[v] & y).bit_count()
+                        for v in range(len(adj)) if x >> v & 1}) == 1
 
 
 class TestKey:
@@ -141,6 +158,46 @@ class TestKey:
         assert canonical_key(g, 0b001) == canonical_key(g, 0b100)
         assert canonical_key(g, 0b001) != canonical_key(g, 0b010)
         assert canonical_key(g, 0) != canonical_key(g, 0b010)
+
+
+class TestRefine:
+    def test_equitable_and_finer(self):
+        # The initial refinement, and the refinement after one vertex is
+        # individualized, as the search does it.
+        rng = random.Random(23)
+        for _ in range(300):
+            g, d = random_pair(rng, rng.randint(1, 12))
+            adj = [row ^ (1 << v) for v, row in enumerate(g.closed)]
+            cells = [c for c in (g.full_mask & ~d, d) if c]
+            refined = _refine(adj, cells, cells)
+            assert_equitable_refinement(adj, cells, refined)
+            big = [c for c in refined if c.bit_count() > 1]
+            if big:
+                target = rng.choice(big)
+                single = 1 << rng.choice([v for v in range(g.n)
+                                          if target >> v & 1])
+                at = refined.index(target)
+                child = refined[:at] + [single, target ^ single] + refined[at + 1:]
+                assert_equitable_refinement(adj, child,
+                                            _refine(adj, child, [single]))
+
+
+def test_forms_pinned():
+    """A digest of the exact (key, generators) of 500 random pairs.
+
+    The key and the generators depend on the labeling algorithm, not on
+    the graph alone: any change of the refinement order, of the target
+    cell or of the leaf order changes them while every test above still
+    passes.  A speed-up must keep them exactly, so a change of the
+    algorithm re-pins this digest on purpose, as the `states_explored`
+    pins in test_solver.py do for the search."""
+    rng = random.Random(29)
+    forms = []
+    for _ in range(500):
+        g, d = random_pair(rng, rng.randint(0, 12))
+        forms.append(repr(canonical_form(g, d)))
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == \
+        "bf0e8d613e03b7a251e36a478aec0b9326685a6045d9bf5ce8da0b505ad58924"
 
 
 class TestGenerators:

@@ -279,6 +279,14 @@ class TestFamily:
         assert code == 0
         assert "gamma_g = 6" in out
 
+    def test_fx_plain_x_refused(self, capsys):
+        # x names a graph: an integer there used to end in an
+        # AttributeError traceback with exit 1.
+        code, out = run_cli("family", "fx", "x=5", "n=3", "w=1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: parameter 'x=5': give the building graph as x-file=PATH\n")
+
     @pytest.mark.parametrize("argv, message", [
         # 68 vertices, more than a graph can hold.
         (("broken-ladder", "k=15"), "vertex count 68 outside [0, 64]"),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domgame.graph import (GraphError, PartiallyDominatedGraph, add_edges,
+from domgame.graph import (Graph, GraphError, PartiallyDominatedGraph, add_edges,
                            disjoint_union, format_edge_list, from_graph6,
                            is_connected, make_graph, mask_of, non_edges,
                            parse_edge_list, to_graph6)
@@ -49,6 +49,33 @@ class TestMakeGraph:
     def test_rejects_over_capacity(self):
         with pytest.raises(GraphError):
             make_graph(65, [])
+
+
+class TestGraphChecks:
+    """`Graph`'s own checks, met by building it from rows directly."""
+
+    @pytest.mark.parametrize("n, closed, message", [
+        (65, (), "vertex count 65 outside [0, 64]"),
+        (3, (0b001, 0b010), "closed neighborhood row count != n"),
+        (2, (0b101, 0b010), "row 0 sets bits beyond vertex count"),
+        (2, (0b01, 0b01), "row 1 misses its own diagonal bit"),
+        # Rows {0}, {1, 3}, {0, 2}, {3}: (3, 1) is met before (0, 2),
+        # because the pairs are visited v then u, each ascending.
+        (4, (0b0001, 0b1010, 0b0101, 0b1000),
+         "asymmetric adjacency between 3 and 1"),
+        # Every row is checked for stray and diagonal bits before any
+        # pair is checked for symmetry.
+        (3, (0b011, 0b010, 0b1100), "row 2 sets bits beyond vertex count"),
+        (3, (0b011, 0b010, 0b000), "row 2 misses its own diagonal bit"),
+    ], ids=["order", "row-count", "stray-bit", "diagonal", "asymmetric",
+            "stray-bit-first", "diagonal-first"])
+    def test_message(self, n, closed, message):
+        with pytest.raises(GraphError) as err:
+            Graph(n, closed)
+        assert str(err.value) == message
+
+    def test_valid_rows_accepted(self):
+        assert Graph(3, (0b011, 0b111, 0b110)) == make_graph(3, [(0, 1), (1, 2)])
 
 
 class TestAddEdges:
