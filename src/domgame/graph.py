@@ -51,8 +51,9 @@ class Graph:
                 raise GraphError(f"row {v} sets bits beyond vertex count")
             if not row & (1 << v):
                 raise GraphError(f"row {v} misses its own diagonal bit")
-        # Every graph built passes here, so the lowest-bit loop is inline;
-        # it visits the pairs in the same order as `bits`, v then u.
+        # Every graph built passes here, so the lowest-bit loop is inline.
+        # Pairs are visited v then u, each ascending; the first bad one is
+        # named.
         for v, row in enumerate(closed):
             bit = 1 << v
             row ^= bit

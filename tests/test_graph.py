@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domgame.graph import (Graph, GraphError, PartiallyDominatedGraph, add_edges,
-                           disjoint_union, format_edge_list, from_graph6,
+from domgame.graph import (Graph, GraphError, PartiallyDominatedGraph,
+                           add_edges, disjoint_union, format_edge_list, from_graph6,
                            is_connected, make_graph, mask_of, non_edges,
                            parse_edge_list, to_graph6)
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
@@ -73,9 +73,6 @@ class TestGraphChecks:
         with pytest.raises(GraphError) as err:
             Graph(n, closed)
         assert str(err.value) == message
-
-    def test_valid_rows_accepted(self):
-        assert Graph(3, (0b011, 0b111, 0b110)) == make_graph(3, [(0, 1), (1, 2)])
 
 
 class TestAddEdges:
