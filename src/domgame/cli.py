@@ -12,6 +12,7 @@ import contextlib
 import functools
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import harness
 from .families import (FAMILY_NAMES, FamilySpec, cycle_graph, family_order,
@@ -306,7 +307,7 @@ def run(argv=None, out=None) -> int:
         with sink as fh:
             return _COMMANDS[args.command](args, cfg, fh)
     except (UsageError, GraphError, VertexCapExceeded, MemoLimitExceeded,
-            ValueError, OSError) as exc:
+            BrokenProcessPool, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,6 +79,33 @@ def _sweep_one(args):
     return solver.game_value(pdg.dominated), solver.states_explored
 
 
+# The process's one worker pool, or None.  concurrent.futures joins its
+# workers at interpreter exit, so nothing here registers a hook for that.
+_pool = None
+
+
+def _kept_pool(workers):
+    """The pool of `workers` processes, kept from an earlier batch if it
+    has that size and all its workers are alive, started afresh if not.
+    Workers are forked when the pool takes its first jobs, so they see the
+    module state of that moment.  ProcessPoolExecutor has no public size or
+    liveness check, so this reads its `_max_workers` and `_processes`."""
+    global _pool
+    if _pool is not None and (
+            _pool._max_workers != workers
+            or any(p.exitcode is not None for p in _pool._processes.values())):
+        _drop_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=workers)
+    return _pool
+
+
+def _drop_pool():
+    global _pool
+    pool, _pool = _pool, None
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _solve_all(instances, cfg, workers, key=canonical_key):
     """The game value of every PartiallyDominatedGraph in the list
     `instances`, in input order, and the batch's solver_stats record.
@@ -88,7 +115,14 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
     its value, so `instances_solved` counts classes and `states_explored`
     sums the states of those solves.  Every order is checked against the
     vertex cap before the first solve, so an over-cap sweep fails before
-    it does any work."""
+    it does any work.
+
+    With workers > 1 the classes are solved on the process's one pool: the
+    first such batch starts it and later batches reuse it, so an
+    `add-edges` range forks its workers once.  A batch that asks for
+    another worker count, or finds a worker dead, replaces the pool before
+    it starts; a batch that raises (a worker dying during it included)
+    shuts the pool down, so a broken pool is never reused."""
     cfg.check_order(max((pdg.graph.n for pdg in instances), default=0))
     first = {}
     owner = [first.setdefault(key(pdg.graph, pdg.dominated), i)
@@ -101,8 +135,12 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
         # large enough to amortize the pickling, small enough that every
         # worker gets a share of a batch of a few dozen classes.
         chunksize = max(1, -(-len(jobs) // (4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = _kept_pool(workers)
+        try:
             solved = list(pool.map(_sweep_one, jobs, chunksize=chunksize))
+        except BaseException:
+            _drop_pool()
+            raise
     value_of = {i: value for i, (value, _) in zip(first.values(), solved)}
     stats = {"instances_solved": len(jobs),
              "states_explored": sum(states for _, states in solved)}

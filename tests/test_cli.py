@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -124,6 +125,19 @@ class TestLimits:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == \
             "error: graph order 83 exceeds solver cap 26\n"
+
+    def test_broken_pool_exits_2(self, monkeypatch, capsys):
+        # A worker killed during a batch (say by the OOM killer) is an
+        # error of the run, not a report with ok = False.
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(harness, "_solve_all", broken)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out = run_cli("--workers", "2", "sweep", "tadpole",
+                            "--max-order", "8")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: a worker died\n"
 
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
         # `family` starts no pool, so no worker process is created.

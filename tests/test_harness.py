@@ -1,5 +1,8 @@
 import itertools
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -7,7 +10,8 @@ from domgame import harness
 from domgame.canon import canonical_key
 from domgame.families import FamilySpec, generate, path_graph
 from domgame.graph import PartiallyDominatedGraph, add_edges, non_edges
-from domgame.solver import Solver, SolverConfig, VertexCapExceeded
+from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig,
+                            VertexCapExceeded)
 
 
 class TestSolveAll:
@@ -192,6 +196,50 @@ class TestSweepFamily:
         b = harness.random_fx_specs(5, 42, 16)
         assert [(s.params["x"], s.params["n"], s.params["w"]) for s in a] == \
             [(s.params["x"], s.params["n"], s.params["w"]) for s in b]
+
+
+class TestPool:
+    """Pooled batches share the process's one pool, and a pool with a dead
+    worker is replaced, not reused."""
+
+    SPECS = harness.tadpole_specs(9)
+
+    @staticmethod
+    def worker_pids():
+        return sorted(p.pid for p in multiprocessing.active_children())
+
+    def test_batches_share_workers(self):
+        serial = harness.sweep_family(self.SPECS, workers=1)
+        first = harness.sweep_family(self.SPECS, workers=2)
+        pids = self.worker_pids()
+        second = harness.sweep_family(self.SPECS, workers=2)
+        assert len(pids) == 2
+        assert self.worker_pids() == pids
+        assert first.rows == second.rows == serial.rows
+
+    def test_other_size_replaces_pool(self):
+        harness.sweep_family(self.SPECS, workers=3)
+        three = self.worker_pids()
+        harness.sweep_family(self.SPECS, workers=2)
+        two = self.worker_pids()
+        assert (len(three), len(two)) == (3, 2)
+        assert not set(three) & set(two)
+
+    def test_dead_idle_worker_replaced(self):
+        serial = harness.sweep_family(self.SPECS, workers=1)
+        harness.sweep_family(self.SPECS, workers=2)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
+        assert victim.pid not in self.worker_pids()
+
+    def test_failed_batch_leaves_no_workers(self):
+        harness.sweep_family(self.SPECS, workers=2)
+        with pytest.raises(MemoLimitExceeded):
+            harness.sweep_family(self.SPECS, workers=2,
+                                 config=SolverConfig(memo_limit=5))
+        assert self.worker_pids() == []
 
 
 class TestCheckREquality:
