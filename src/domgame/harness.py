@@ -89,12 +89,23 @@ def _kept_pool(workers):
     has that size and all its workers are alive, started afresh if not.
     Workers are forked when the pool takes its first jobs, so they see the
     module state of that moment.  ProcessPoolExecutor has no public size or
-    liveness check, so this reads its `_max_workers` and `_processes`."""
+    liveness check, so this reads its `_max_workers`, `_processes` and
+    `_broken`."""
     global _pool
-    if _pool is not None and (
-            _pool._max_workers != workers
-            or any(p.exitcode is not None for p in _pool._processes.values())):
-        _drop_pool()
+    if _pool is not None:
+        procs = _pool._processes.values()
+        # `_broken` is read after the exit codes: the pool's own thread
+        # sets it before it reaps a dead worker, so one of the two shows
+        # the death however the reads interleave with that thread.
+        if (any(p.exitcode is not None for p in procs)
+                or _pool._broken):
+            # A dead worker may have held the job queue's read lock, and
+            # then a graceful shutdown waits forever for the others.
+            for p in procs:
+                p.terminate()
+            _drop_pool()
+        elif _pool._max_workers != workers:
+            _drop_pool()
     if _pool is None:
         _pool = ProcessPoolExecutor(max_workers=workers)
     return _pool

@@ -1,6 +1,7 @@
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 
@@ -230,7 +231,10 @@ class TestPool:
         harness.sweep_family(self.SPECS, workers=2)
         victim = multiprocessing.active_children()[0]
         os.kill(victim.pid, signal.SIGKILL)
-        victim.join()
+        # join reaps the victim, unless the pool's own thread reaps it
+        # first, so its exit code may read None; its sentinel shows it died.
+        victim.join(timeout=10)
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=0)
         assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
         assert victim.pid not in self.worker_pids()
 
