@@ -97,8 +97,7 @@ def _kept_pool(workers):
         # `_broken` is read after the exit codes: the pool's own thread
         # sets it before it reaps a dead worker, so one of the two shows
         # the death however the reads interleave with that thread.
-        if (any(p.exitcode is not None for p in procs)
-                or _pool._broken):
+        if any(p.exitcode is not None for p in procs) or _pool._broken:
             # A dead worker may have held the job queue's read lock, and
             # then a graceful shutdown waits forever for the others.
             for p in procs:
@@ -114,7 +113,7 @@ def _kept_pool(workers):
 def _drop_pool():
     global _pool
     pool, _pool = _pool, None
-    pool.shutdown(wait=True, cancel_futures=True)
+    pool.shutdown()
 
 
 def _solve_all(instances, cfg, workers, key=canonical_key):

@@ -4,6 +4,8 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
@@ -199,6 +201,11 @@ class TestSweepFamily:
             [(s.params["x"], s.params["n"], s.params["w"]) for s in b]
 
 
+class _Exit:
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
 class TestPool:
     """Pooled batches share the process's one pool, and a pool with a dead
     worker is replaced, not reused."""
@@ -237,6 +244,14 @@ class TestPool:
         assert multiprocessing.connection.wait([victim.sentinel], timeout=0)
         assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
         assert victim.pid not in self.worker_pids()
+
+    def test_worker_dying_in_batch_raises(self):
+        # The worker that unpickles this job exits on the spot.
+        job = SimpleNamespace(graph=SimpleNamespace(n=1), dominated=_Exit())
+        serial = harness.sweep_family(self.SPECS, workers=1)
+        with pytest.raises(BrokenProcessPool):
+            harness._solve_all([job], SolverConfig(), 2, key=lambda g, d: 0)
+        assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
 
     def test_failed_batch_leaves_no_workers(self):
         harness.sweep_family(self.SPECS, workers=2)
