@@ -15,6 +15,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from . import oracle
@@ -79,41 +80,39 @@ def _sweep_one(args):
     return solver.game_value(pdg.dominated), solver.states_explored
 
 
-# The process's one worker pool, or None.  concurrent.futures joins its
-# workers at interpreter exit, so nothing here registers a hook for that.
+# The process's one worker pool as (workers, executor), or None.
+# concurrent.futures joins its workers at interpreter exit, so nothing here
+# registers a hook for that.  Workers are forked, the default start method,
+# when the pool takes its first jobs, so they see the module state of that
+# moment.
 _pool = None
 
 
-def _kept_pool(workers):
-    """The pool of `workers` processes, kept from an earlier batch if it
-    has that size and all its workers are alive, started afresh if not.
-    Workers are forked when the pool takes its first jobs, so they see the
-    module state of that moment.  ProcessPoolExecutor has no public size or
-    liveness check, so this reads its `_max_workers`, `_processes` and
-    `_broken`."""
+def _pool_map(jobs, workers, chunksize):
+    """`_sweep_one` of every job, in order, on the pool of `workers`
+    processes, kept or fresh as `_solve_all` describes."""
     global _pool
-    if _pool is not None:
-        procs = _pool._processes.values()
-        # `_broken` is read after the exit codes: the pool's own thread
-        # sets it before it reaps a dead worker, so one of the two shows
-        # the death however the reads interleave with that thread.
-        if any(p.exitcode is not None for p in procs) or _pool._broken:
-            # A dead worker may have held the job queue's read lock, and
-            # then a graceful shutdown waits forever for the others.
-            for p in procs:
-                p.terminate()
-            _drop_pool()
-        elif _pool._max_workers != workers:
-            _drop_pool()
-    if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
-    return _pool
+    if _pool is not None and _pool[0] != workers:
+        _drop_pool()
+    kept = _pool is not None
+    if not kept:
+        _pool = workers, ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(_pool[1].map(_sweep_one, jobs, chunksize=chunksize))
+    except BaseException as exc:
+        # A pool that breaks terminates its other workers, so this shutdown
+        # cannot wait on one blocked on the dead worker's queue lock.
+        _drop_pool()
+        # A kept pool may have lost a worker while it sat idle.
+        if not (kept and isinstance(exc, BrokenProcessPool)):
+            raise
+    return _pool_map(jobs, workers, chunksize)
 
 
 def _drop_pool():
     global _pool
     pool, _pool = _pool, None
-    pool.shutdown()
+    pool[1].shutdown()
 
 
 def _solve_all(instances, cfg, workers, key=canonical_key):
@@ -130,9 +129,10 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
     With workers > 1 the classes are solved on the process's one pool: the
     first such batch starts it and later batches reuse it, so an
     `add-edges` range forks its workers once.  A batch that asks for
-    another worker count, or finds a worker dead, replaces the pool before
-    it starts; a batch that raises (a worker dying during it included)
-    shuts the pool down, so a broken pool is never reused."""
+    another worker count replaces the pool before it starts.  A batch that
+    raises shuts the pool down, so a broken pool is never reused; if the
+    pool was kept from an earlier batch and broke (a worker that died
+    between batches, say), the batch runs once more on a fresh pool."""
     cfg.check_order(max((pdg.graph.n for pdg in instances), default=0))
     first = {}
     owner = [first.setdefault(key(pdg.graph, pdg.dominated), i)
@@ -145,12 +145,7 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
         # large enough to amortize the pickling, small enough that every
         # worker gets a share of a batch of a few dozen classes.
         chunksize = max(1, -(-len(jobs) // (4 * workers)))
-        pool = _kept_pool(workers)
-        try:
-            solved = list(pool.map(_sweep_one, jobs, chunksize=chunksize))
-        except BaseException:
-            _drop_pool()
-            raise
+        solved = _pool_map(jobs, workers, chunksize)
     value_of = {i: value for i, (value, _) in zip(first.values(), solved)}
     stats = {"instances_solved": len(jobs),
              "states_explored": sum(states for _, states in solved)}

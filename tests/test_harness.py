@@ -206,6 +206,22 @@ class _Exit:
         return os._exit, (1,)
 
 
+def _exit_once(marker):
+    """0 once `marker` exists; before that, create it and exit on the spot."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return 0
+
+
+class _ExitOnce:
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return _exit_once, (self.marker,)
+
+
 class TestPool:
     """Pooled batches share the process's one pool, and a pool with a dead
     worker is replaced, not reused."""
@@ -252,6 +268,34 @@ class TestPool:
         with pytest.raises(BrokenProcessPool):
             harness._solve_all([job], SolverConfig(), 2, key=lambda g, d: 0)
         assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
+
+    @staticmethod
+    def exit_once_job(tmp_path):
+        # The first worker to unpickle this job exits; later ones solve P_7.
+        dominated = _ExitOnce(str(tmp_path / "exited"))
+        return SimpleNamespace(graph=path_graph(7), dominated=dominated)
+
+    def test_kept_pool_broken_in_batch_reruns_it(self, tmp_path):
+        harness.sweep_family(self.SPECS, workers=2)
+        values, _ = harness._solve_all([self.exit_once_job(tmp_path)],
+                                       SolverConfig(), 2, key=lambda g, d: 0)
+        assert values == [3]  # gamma_g(P_7)
+
+    def test_fresh_pool_broken_in_batch_raises(self, tmp_path):
+        harness.sweep_family(self.SPECS, workers=2)
+        harness._drop_pool()
+        with pytest.raises(BrokenProcessPool):
+            harness._solve_all([self.exit_once_job(tmp_path)],
+                               SolverConfig(), 2, key=lambda g, d: 0)
+
+    def test_worker_killed_right_before_batch(self):
+        # No join and no pause: the next batch may find the pool whole,
+        # broken, or breaking under it.
+        serial = harness.sweep_family(self.SPECS, workers=1)
+        harness.sweep_family(self.SPECS, workers=2)
+        for _ in range(20):
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+            assert harness.sweep_family(self.SPECS, workers=2).rows == serial.rows
 
     def test_failed_batch_leaves_no_workers(self):
         harness.sweep_family(self.SPECS, workers=2)
