@@ -28,19 +28,19 @@ DESK_CAPS = {("path", 2): 14, ("path", 3): 12, ("cycle", 2): 14, ("cycle", 3): 1
 FULL_CAPS = {("path", 2): 21, ("path", 3): 15, ("cycle", 2): 24, ("cycle", 3): 20}
 
 
-def _or(value, default):
-    return default if value is None else value
-
-
-# Sweepable families and their specs; an unset option (None) gets its default.
+# Sweepable families: each one's spec builder and the options it reads, in
+# the builder's argument order, with their defaults.  `sweep FAMILY` takes
+# exactly these options.
 _SWEEPS = {
-    "tadpole": lambda a: harness.tadpole_specs(_or(a.max_order, 20)),
-    "two-tailed-tadpole": lambda a: harness.two_tailed_specs(_or(a.max_order, 18)),
-    "hatted-cycle": lambda a: harness.hatted_cycle_specs(a.lo, _or(a.hi, 21)),
-    "broken-ladder": lambda a: harness.broken_ladder_specs(a.k_max),
-    "cycle-chord": lambda a: harness.cycle_chord_specs(_or(a.max_order, 18)),
-    "fx": lambda a: harness.random_fx_specs(a.count, a.seed, _or(a.max_order, 18)),
-    "r-graph": lambda a: harness.r_graph_specs(_int_list("--n", a.n)),
+    "tadpole": (harness.tadpole_specs, {"--max-order": 20}),
+    "two-tailed-tadpole": (harness.two_tailed_specs, {"--max-order": 18}),
+    "hatted-cycle": (harness.hatted_cycle_specs, {"--from": 4, "--to": 21}),
+    "broken-ladder": (harness.broken_ladder_specs, {"--k-max": 3}),
+    "cycle-chord": (harness.cycle_chord_specs, {"--max-order": 18}),
+    "fx": (harness.random_fx_specs,
+           {"--count": 50, "--seed": 0, "--max-order": 18}),
+    "r-graph": (lambda n: harness.r_graph_specs(_int_list("--n", n)),
+                {"--n": "2,3,4"}),
 }
 
 
@@ -78,22 +78,20 @@ def _build_parser():
     s.add_argument("--solve", action="store_true")
 
     s = sub.add_parser("sweep", help="solve a family over a parameter range")
-    s.add_argument("name", choices=tuple(_SWEEPS))
-    s.add_argument("--max-order", type=int, default=None)
-    s.add_argument("--from", dest="lo", type=int, default=4)
-    s.add_argument("--to", dest="hi", type=int, default=None)
-    s.add_argument("--k-max", type=int, default=3)
-    s.add_argument("--count", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--n", default="2,3,4", help="comma-separated n values")
+    families = s.add_subparsers(dest="name", required=True)
+    for name, (_, options) in _SWEEPS.items():
+        f = families.add_parser(name)
+        for option, default in options.items():
+            f.add_argument(option, type=type(default), default=default)
 
     s = sub.add_parser("add-edges", help="enumerate edge additions to a path/cycle")
     s.add_argument("--base", choices=("path", "cycle"), required=True)
-    s.add_argument("--n", type=int, default=None,
-                   help="single order; omit to sweep 4..cap")
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--full", action="store_true",
-                   help="use the full published ranges (slow: memo is 2^n)")
+    order = s.add_mutually_exclusive_group()
+    order.add_argument("--n", type=int, default=None,
+                       help="single order; omit to sweep 4..cap")
+    order.add_argument("--full", action="store_true",
+                       help="use the full published ranges (slow: memo is 2^n)")
     s.add_argument("--no-symmetry", action="store_true")
 
     sub.add_parser("verify-tables", help="regenerate the residue-case tables")
@@ -242,7 +240,9 @@ def _cmd_family(args, cfg, out):
 
 
 def _cmd_sweep(args, cfg, out):
-    report = harness.sweep_family(_SWEEPS[args.name](args), config=cfg,
+    build, options = _SWEEPS[args.name]
+    specs = build(*(getattr(args, o[2:].replace("-", "_")) for o in options))
+    report = harness.sweep_family(specs, config=cfg,
                                   workers=args.workers,
                                   name=f"sweep-{args.name}")
     return _emit_report(report, args, out)

@@ -377,6 +377,18 @@ class TestReports:
         code, _ = run_cli("no-such-command")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "hatted-cycle", "--max-order", "7"),
+        ("sweep", "tadpole", "--n", "2,3"),
+        ("sweep", "--max-order", "7", "tadpole"),
+        ("add-edges", "--base", "path", "--n", "5", "--k", "2", "--full"),
+    ], ids=["hatted-cycle-max-order", "tadpole-n", "option-before-family",
+            "add-edges-n-and-full"])
+    def test_option_not_read_is_refused(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "error:" in capsys.readouterr().err
+
 
 class TestReportFormats:
     """Every report command renders its own rows in every format."""
