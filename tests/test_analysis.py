@@ -4,6 +4,7 @@ import pytest
 
 from domgame import harness
 from domgame.analysis import classify_unicyclic, has_hamiltonian_path
+from domgame.canon import canonical_key
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import make_graph, mask_of
 
@@ -83,6 +84,30 @@ class TestClassifyUnicyclic:
                 lg = generate(FamilySpec("tadpole", {"m": m, "n": n}))
                 c = classify_unicyclic(lg.graph)
                 assert (c.kind, c.params) == ("tadpole", (m, n))
+
+
+class TestUnicyclicLemma:
+    """Every connected unicyclic graph of order at most 7: it is traceable
+    exactly when it is a cycle, a tadpole or a two-tailed tadpole, and the
+    class's parameters rebuild the graph up to isomorphism."""
+
+    PARAMS = {"cycle": ("n",), "tadpole": ("m", "n"),
+              "two-tailed-tadpole": ("m", "n", "k")}
+
+    def test_atlas(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [make_graph(G.number_of_nodes(), list(G.edges()))
+                  for G in nx.graph_atlas_g()
+                  if 3 <= G.number_of_nodes() <= 7 and nx.is_connected(G)
+                  and G.number_of_edges() == G.number_of_nodes()]
+        assert len(graphs) == 54
+        for g in graphs:
+            c = classify_unicyclic(g)
+            assert c.kind != "not-unicyclic"
+            assert (c.kind in self.PARAMS) == has_hamiltonian_path(g)[0]
+            if c.kind in self.PARAMS:
+                spec = FamilySpec(c.kind, dict(zip(self.PARAMS[c.kind], c.params)))
+                assert canonical_key(generate(spec).graph) == canonical_key(g)
 
 
 class TestConjectureCheck:
