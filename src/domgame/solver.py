@@ -18,7 +18,11 @@ than a kept one.  Stored bounds of skipped children are still read, and
 Dominator's turn and smallest first on Staller's: the transposition pass
 stops at the first child whose stored bounds decide the test, and the
 search pass recurses into the kept children and stops at the first result
-that decides it.
+that decides it.  MTD(f) revisits a state at every probe of k, so each
+state's ordered children are sorted once per `Solver` and kept, per turn,
+beside the bounds tables.  They are kept as tuples: the garbage collector
+does not track a tuple of ints, while a kept list would be traversed at
+every collection, which ate the whole saving on P_26.
 """
 
 from __future__ import annotations
@@ -68,8 +72,14 @@ def legal_moves(g: Graph, dominated: int) -> int:
     return sum(1 << v for v in range(g.n) if g.closed[v] & ~dominated)
 
 
+def _check_turn(turn) -> None:
+    if not isinstance(turn, Turn):
+        raise ValueError(f"turn must be a Turn, not {turn!r}")
+
+
 class Solver:
-    """One graph, two bounds tables (one per turn).  Not thread-shared."""
+    """One graph; per turn, a bounds table and each stored state's ordered
+    children.  Not thread-shared."""
 
     def __init__(self, graph: Graph, config: SolverConfig | None = None):
         self.graph = graph
@@ -78,6 +88,9 @@ class Solver:
         self._full = graph.full_mask
         self._table_d = {}
         self._table_s = {}
+        # Each stored state's children, in the order its turn tries them.
+        self._children_d = {}
+        self._children_s = {}
 
     @property
     def states_explored(self) -> int:
@@ -86,6 +99,7 @@ class Solver:
     def game_value(self, dominated: int = 0, turn: Turn = Turn.DOMINATOR) -> int:
         if dominated & ~self._full:
             raise ValueError("dominated set contains ids outside the graph")
+        _check_turn(turn)
         dom = turn is Turn.DOMINATOR
         k = 0
         while not self._test(dominated, dom, k):
@@ -97,14 +111,19 @@ class Solver:
         k moves.  Stores the tightened (lo, hi) of s: lo > k after a fail."""
         if s == self._full:
             return k >= 0
-        table, child = ((self._table_d, self._table_s) if dom
-                        else (self._table_s, self._table_d))
+        if dom:
+            table, child, cache = self._table_d, self._table_s, self._children_d
+        else:
+            table, child, cache = self._table_s, self._table_d, self._children_s
         bounds = table.get(s)
         if bounds is not None and not bounds[0] <= k < bounds[1]:
             return k >= bounds[1]
-        # Dominator tries big gains first, Staller small ones.
-        order = sorted({s | r for r in self.graph.closed} - {s},
-                       key=int.bit_count, reverse=dom)
+        order = cache.get(s)
+        if order is None:
+            # Dominator tries big gains first, Staller small ones.
+            order = cache[s] = tuple(sorted(
+                {s | r for r in self.graph.closed} - {s},
+                key=int.bit_count, reverse=dom))
         if bounds is None:
             # Every move dominates at least one undominated vertex and at
             # most the largest gain available now; gains only shrink.
@@ -116,31 +135,50 @@ class Solver:
             # Dominator succeeds at the first child that ends within k - 1
             # moves, Staller fails at the first that does not.  First look
             # for a child whose stored bounds already answer (an unstored
-            # child reads as (0, k), which answers neither), then search
-            # the extremal children only: a child is skipped when an
-            # earlier kept child contains it (Dominator, largest first) or
-            # is contained in it (Staller, smallest first).  The kept
+            # child answers neither, as k >= lo >= 1), then search the
+            # extremal children only: a child is skipped when an earlier
+            # kept child contains it (Dominator, largest first) or is
+            # contained in it (Staller, smallest first).  The kept
             # children suffice: a child strictly inside (around) another
             # comes later in `order`, and a skipped child is inside
             # (around) a kept one.
-            ok = not dom
-            unknown = (0, k)
-            for t in order:
-                t_lo, t_hi = child.get(t, unknown)
-                if t_hi < k if dom else t_lo >= k:
-                    ok = dom
-                    break
-            else:
-                kept = []
+            get = child.get
+            if dom:
+                ok = False
                 for t in order:
-                    for u in kept:
-                        if t | u == (u if dom else t):
-                            break
-                    else:
-                        kept.append(t)
-                        if self._test(t, not dom, k - 1) is dom:
-                            ok = dom
-                            break
+                    t_bounds = get(t)
+                    if t_bounds is not None and t_bounds[1] < k:
+                        ok = True
+                        break
+                else:
+                    kept = []
+                    for t in order:
+                        for u in kept:
+                            if t | u == u:
+                                break
+                        else:
+                            kept.append(t)
+                            if self._test(t, False, k - 1):
+                                ok = True
+                                break
+            else:
+                ok = True
+                for t in order:
+                    t_bounds = get(t)
+                    if t_bounds is not None and t_bounds[0] >= k:
+                        ok = False
+                        break
+                else:
+                    kept = []
+                    for t in order:
+                        for u in kept:
+                            if t | u == t:
+                                break
+                        else:
+                            kept.append(t)
+                            if not self._test(t, True, k - 1):
+                                ok = False
+                                break
             lo, hi = (lo, k) if ok else (k + 1, hi)
         table[s] = (lo, hi)
         if len(table) + len(child) > self.config.memo_limit:
@@ -148,11 +186,14 @@ class Solver:
             # Solver does not fail on its first store.
             self._table_d.clear()
             self._table_s.clear()
+            self._children_d.clear()
+            self._children_s.clear()
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
 
     def value_with_forced_first_move(self, v: int, dominated: int = 0,
                                      turn: Turn = Turn.DOMINATOR) -> int:
+        _check_turn(turn)
         g = self.graph
         if not 0 <= v < g.n or not g.closed[v] & ~dominated:
             raise ValueError(f"vertex {v} is not a legal move")
