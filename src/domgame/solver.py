@@ -20,9 +20,10 @@ stops at the first child whose stored bounds decide the test, and the
 search pass recurses into the kept children and stops at the first result
 that decides it.  MTD(f) revisits a state at every probe of k, so each
 state's ordered children are sorted once per `Solver` and kept, per turn,
-beside the bounds tables.  They are kept as tuples: the garbage collector
-does not track a tuple of ints, while a kept list would be traversed at
-every collection, which ate the whole saving on P_26.
+beside the bounds tables.  They are kept as tuples, which the garbage
+collector stops tracking once it sees they hold only ints; kept lists stay
+tracked, so full collections come more often and take longer as the
+tables grow.
 """
 
 from __future__ import annotations

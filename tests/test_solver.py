@@ -79,6 +79,48 @@ class TestGameValue:
         # One undominated vertex left: one move ends the game.
         assert solver.game_value(solver.graph.full_mask & ~1) == 1
 
+    def test_memo_limit_empties_children_with_tables(self):
+        solver = Solver(path_graph(14), SolverConfig(memo_limit=50))
+        with pytest.raises(MemoLimitExceeded):
+            solver.game_value()
+        assert not (solver._table_d or solver._table_s
+                    or solver._children_d or solver._children_s)
+        assert solver.game_value(solver.graph.full_mask & ~1) == 1
+
+    def test_children_kept_only_for_stored_states(self):
+        # Each turn keeps the ordered children of states in its own table
+        # only, in the order that turn tries them.
+        rng = random.Random(29)
+        for _ in range(10):
+            g = _random_graph(rng, 11, 0.3)
+            s = Solver(g)
+            for turn in (Turn.DOMINATOR, Turn.STALLER, Turn.DOMINATOR):
+                if s.game_value(0, turn):
+                    s.optimal_first_moves(0, turn)
+                for table, children, dom in ((s._table_d, s._children_d, True),
+                                             (s._table_s, s._children_s, False)):
+                    assert children.keys() <= table.keys()
+                    for state, order in children.items():
+                        assert order == tuple(sorted(
+                            {state | r for r in g.closed} - {state},
+                            key=int.bit_count, reverse=dom))
+            assert s._children_d and s._children_s
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.game_value(0, "dominator"),
+        lambda s: s.optimal_first_moves(0, "dominator"),
+        lambda s: s.value_with_forced_first_move(0, 0, "dominator"),
+        lambda s: s.game_value(0, True),
+    ], ids=["game_value", "optimal_first_moves", "forced_first_move", "bool"])
+    def test_turn_must_be_a_turn(self, call):
+        # K_{1,3}: Dominator ends the game in one move, Staller's start
+        # lasts two; a string turn used to be solved as Staller's start.
+        s = Solver(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
+        with pytest.raises(ValueError, match="Turn"):
+            call(s)
+        assert s.game_value(0, Turn.DOMINATOR) == 1
+        assert s.game_value(0, Turn.STALLER) == 2
+
 
 class TestOptimalFirstMoves:
     def test_r11_every_vertex_optimal(self):
@@ -233,6 +275,24 @@ class TestExplorationPins:
         s = Solver(start.graph)
         assert s.game_value(start.dominated, turn) == value
         assert s.states_explored == states
+
+    @pytest.mark.parametrize("start, turn, states, followup, moves", [
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 3_043, 7_111,
+         [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_764, 5_175,
+         list(range(20))),
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_193, 2_054,
+         list(range(18))),
+    ], ids=["P20-D", "C20-S", "hatted-cycle17-D"])
+    def test_optimal_first_moves_after_value(self, start, turn, states,
+                                             followup, moves):
+        # The `solve` command's path: the value, then the optimal first
+        # moves on the same Solver, which reuses the stored bounds.
+        s = Solver(start.graph)
+        s.game_value(start.dominated, turn)
+        assert s.states_explored == states
+        assert list(bits(s.optimal_first_moves(start.dominated, turn))) == moves
+        assert s.states_explored == followup
 
 
 class TestSolverInvariants:
