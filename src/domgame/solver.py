@@ -19,11 +19,11 @@ Dominator's turn and smallest first on Staller's: the transposition pass
 stops at the first child whose stored bounds decide the test, and the
 search pass recurses into the kept children and stops at the first result
 that decides it.  MTD(f) revisits a state at every probe of k, so each
-state's ordered children are sorted once per `Solver` and kept, per turn,
-beside the bounds tables.  They are kept as tuples, which the garbage
-collector stops tracking once it sees they hold only ints; kept lists stay
-tracked, so full collections come more often and take longer as the
-tables grow.
+state's ordered children are sorted once per `Solver` and kept in the
+state's one table entry, (lo, hi, children).  Entries and children are
+tuples, which the garbage collector stops tracking once it sees they hold
+only ints; kept lists stay tracked, so full collections come more often
+and take longer as the tables grow.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class Turn(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    memo_limit: int = 4_000_000
+    memo_limit: int = 1_000_000
     vertex_cap: int = 26
 
     def __post_init__(self):
@@ -79,19 +79,18 @@ def _check_turn(turn) -> None:
 
 
 class Solver:
-    """One graph; per turn, a bounds table and each stored state's ordered
-    children.  Not thread-shared."""
+    """One graph; per turn, one table entry per stored state: its bounds
+    and its ordered children.  Not thread-shared."""
 
     def __init__(self, graph: Graph, config: SolverConfig | None = None):
         self.graph = graph
         self.config = config or SolverConfig()
         self.config.check_order(graph.n)
         self._full = graph.full_mask
+        # Per turn, state -> (lo, hi, its children in the order that turn
+        # tries them).
         self._table_d = {}
         self._table_s = {}
-        # Each stored state's children, in the order its turn tries them.
-        self._children_d = {}
-        self._children_s = {}
 
     @property
     def states_explored(self) -> int:
@@ -109,29 +108,28 @@ class Solver:
 
     def _test(self, s: int, dom: bool, k: int) -> bool:
         """Whether the game from s (Dominator to move iff dom) ends within
-        k moves.  Stores the tightened (lo, hi) of s: lo > k after a fail."""
+        k moves.  Stores s's entry (lo, hi, children) with the bounds
+        tightened: lo > k after a fail."""
         if s == self._full:
             return k >= 0
         if dom:
-            table, child, cache = self._table_d, self._table_s, self._children_d
+            table, child = self._table_d, self._table_s
         else:
-            table, child, cache = self._table_s, self._table_d, self._children_s
-        bounds = table.get(s)
-        if bounds is not None and not bounds[0] <= k < bounds[1]:
-            return k >= bounds[1]
-        order = cache.get(s)
-        if order is None:
+            table, child = self._table_s, self._table_d
+        entry = table.get(s)
+        if entry is None:
             # Dominator tries big gains first, Staller small ones.
-            order = cache[s] = tuple(sorted(
-                {s | r for r in self.graph.closed} - {s},
-                key=int.bit_count, reverse=dom))
-        if bounds is None:
+            order = tuple(sorted({s | r for r in self.graph.closed} - {s},
+                                 key=int.bit_count, reverse=dom))
             # Every move dominates at least one undominated vertex and at
             # most the largest gain available now; gains only shrink.
             undominated = (self._full & ~s).bit_count()
             gain = order[0 if dom else -1].bit_count() - s.bit_count()
-            bounds = (-(-undominated // gain), undominated)
-        lo, hi = bounds
+            lo, hi = -(-undominated // gain), undominated
+        else:
+            lo, hi, order = entry
+            if not lo <= k < hi:
+                return k >= hi
         if lo <= k < hi:
             # Dominator succeeds at the first child that ends within k - 1
             # moves, Staller fails at the first that does not.  First look
@@ -147,8 +145,8 @@ class Solver:
             if dom:
                 ok = False
                 for t in order:
-                    t_bounds = get(t)
-                    if t_bounds is not None and t_bounds[1] < k:
+                    t_entry = get(t)
+                    if t_entry is not None and t_entry[1] < k:
                         ok = True
                         break
                 else:
@@ -165,8 +163,8 @@ class Solver:
             else:
                 ok = True
                 for t in order:
-                    t_bounds = get(t)
-                    if t_bounds is not None and t_bounds[0] >= k:
+                    t_entry = get(t)
+                    if t_entry is not None and t_entry[0] >= k:
                         ok = False
                         break
                 else:
@@ -181,14 +179,12 @@ class Solver:
                                 ok = False
                                 break
             lo, hi = (lo, k) if ok else (k + 1, hi)
-        table[s] = (lo, hi)
+        table[s] = (lo, hi, order)
         if len(table) + len(child) > self.config.memo_limit:
             # Start empty after a failure, so the next query on this
             # Solver does not fail on its first store.
-            self._table_d.clear()
-            self._table_s.clear()
-            self._children_d.clear()
-            self._children_s.clear()
+            table.clear()
+            child.clear()
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
 

@@ -1,4 +1,5 @@
 import io
+import gc
 import random
 
 import pytest
@@ -83,13 +84,12 @@ class TestGameValue:
         solver = Solver(path_graph(14), SolverConfig(memo_limit=50))
         with pytest.raises(MemoLimitExceeded):
             solver.game_value()
-        assert not (solver._table_d or solver._table_s
-                    or solver._children_d or solver._children_s)
+        assert not (solver._table_d or solver._table_s)
         assert solver.game_value(solver.graph.full_mask & ~1) == 1
 
     def test_children_kept_only_for_stored_states(self):
-        # Each turn keeps the ordered children of states in its own table
-        # only, in the order that turn tries them.
+        # Each turn's table entry keeps the state's children in the order
+        # that turn tries them.
         rng = random.Random(29)
         for _ in range(10):
             g = _random_graph(rng, 11, 0.3)
@@ -97,14 +97,24 @@ class TestGameValue:
             for turn in (Turn.DOMINATOR, Turn.STALLER, Turn.DOMINATOR):
                 if s.game_value(0, turn):
                     s.optimal_first_moves(0, turn)
-                for table, children, dom in ((s._table_d, s._children_d, True),
-                                             (s._table_s, s._children_s, False)):
-                    assert children.keys() <= table.keys()
-                    for state, order in children.items():
+                for table, dom in ((s._table_d, True), (s._table_s, False)):
+                    for state, (_, _, order) in table.items():
                         assert order == tuple(sorted(
                             {state | r for r in g.closed} - {state},
                             key=int.bit_count, reverse=dom))
-            assert s._children_d and s._children_s
+            assert s._table_d and s._table_s
+
+    def test_table_entries_untracked_by_gc(self):
+        # Entries hold only ints and tuples of ints, so the collector stops
+        # tracking them; a list in an entry would stay tracked.
+        s = Solver(path_graph(18))
+        s.game_value()
+        s.game_value(0, Turn.STALLER)
+        gc.collect()
+        gc.collect()
+        entries = [*s._table_d.values(), *s._table_s.values()]
+        assert s._table_d and s._table_s
+        assert not any(gc.is_tracked(entry) for entry in entries)
 
     @pytest.mark.parametrize("call", [
         lambda s: s.game_value(0, "dominator"),
@@ -348,10 +358,10 @@ class TestSolverInvariants:
             s = Solver(g)
             s.game_value()
             s.game_value(0, Turn.STALLER)
-            entries = ([(state, bounds, True) for state, bounds in s._table_d.items()]
-                       + [(state, bounds, False) for state, bounds in s._table_s.items()])
+            entries = ([(state, entry, True) for state, entry in s._table_d.items()]
+                       + [(state, entry, False) for state, entry in s._table_s.items()])
             assert len(entries) >= 20 and s._table_d and s._table_s
-            for state, (lo, hi), dom in entries:
+            for state, (lo, hi, _), dom in entries:
                 assert lo <= naive_game_value(g, state, dom) <= hi
 
     def test_union_lemma_bound(self):
