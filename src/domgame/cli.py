@@ -20,7 +20,7 @@ from .families import (FAMILY_NAMES, FamilySpec, cycle_graph, family_order,
 from .graph import (GraphError, PartiallyDominatedGraph, bits, format_edge_list,
                     mask_of, non_edges, parse_edge_list)
 from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
-                     VertexCapExceeded, domination_number)
+                     domination_number)
 
 # Desk-scale order caps per (base, edges added); the paper's full ranges
 # sit behind --full because the memo table grows as 2^n.
@@ -44,17 +44,13 @@ _SWEEPS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 @functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="domgame",
                                 description="Exact domination game toolkit")
-    p.add_argument("--vertex-cap", type=int, default=None,
+    p.add_argument("--vertex-cap", type=int, default=SolverConfig.vertex_cap,
                    help="solver refusal threshold")
-    p.add_argument("--memo-limit", type=int, default=None)
+    p.add_argument("--memo-limit", type=int, default=SolverConfig.memo_limit)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for sweeps, 1..CPU count")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -67,17 +63,21 @@ def _build_parser():
                    help="comma-separated pre-dominated vertex ids")
     s.add_argument("--start", choices=("dominator", "staller"),
                    default="dominator")
+    s.set_defaults(run=_cmd_solve)
 
     s = sub.add_parser("gamma", help="domination number of a graph file")
     s.add_argument("file")
+    s.set_defaults(run=_cmd_gamma)
 
     s = sub.add_parser("family", help="generate a named family instance")
     s.add_argument("name", choices=FAMILY_NAMES)
     s.add_argument("params", nargs="*", help="key=value parameters")
     s.add_argument("--emit", default=None, help="write the edge list here")
     s.add_argument("--solve", action="store_true")
+    s.set_defaults(run=_cmd_family)
 
     s = sub.add_parser("sweep", help="solve a family over a parameter range")
+    s.set_defaults(run=_cmd_sweep)
     families = s.add_subparsers(dest="name", required=True)
     for name, (_, options) in _SWEEPS.items():
         f = families.add_parser(name)
@@ -93,29 +93,24 @@ def _build_parser():
     order.add_argument("--full", action="store_true",
                        help="use the full published ranges (slow: memo is 2^n)")
     s.add_argument("--no-symmetry", action="store_true")
+    s.set_defaults(run=_cmd_add_edges)
 
-    sub.add_parser("verify-tables", help="regenerate the residue-case tables")
+    s = sub.add_parser("verify-tables", help="regenerate the residue-case tables")
+    s.set_defaults(run=_cmd_verify_tables)
 
     s = sub.add_parser("props", help="seeded randomized property suite")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trials", type=int, default=500)
+    s.set_defaults(run=_cmd_props)
     return p
 
 
 def _config(args) -> SolverConfig:
     """Validate every resource limit before any command does work."""
-    limits = {}
-    if args.vertex_cap is not None:
-        limits["vertex_cap"] = args.vertex_cap
-    if args.memo_limit is not None:
-        limits["memo_limit"] = args.memo_limit
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
-        raise UsageError(f"--workers must lie in 1..{cpus}, got {args.workers}")
-    try:
-        return SolverConfig(**limits)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"--workers must lie in 1..{cpus}, got {args.workers}")
+    return SolverConfig(vertex_cap=args.vertex_cap, memo_limit=args.memo_limit)
 
 
 def _load(path: str) -> PartiallyDominatedGraph:
@@ -123,11 +118,11 @@ def _load(path: str) -> PartiallyDominatedGraph:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse_edge_list(text)
     except GraphError as exc:
-        raise UsageError(f"malformed edge list in {path}: {exc}")
+        raise ValueError(f"malformed edge list in {path}: {exc}")
 
 
 def _int_list(name: str, text: str) -> list:
@@ -136,7 +131,7 @@ def _int_list(name: str, text: str) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     for item in items:
         if not item.isdecimal():
-            raise UsageError(f"bad {name} list {text!r}: {item!r} is not "
+            raise ValueError(f"bad {name} list {text!r}: {item!r} is not "
                              "a non-negative integer")
     return [int(s) for s in items]
 
@@ -145,7 +140,7 @@ def _parse_params(items):
     params = {}
     for item in items:
         if "=" not in item:
-            raise UsageError(f"parameter {item!r} is not key=value")
+            raise ValueError(f"parameter {item!r} is not key=value")
         key, _, val = item.partition("=")
         if key == "d":
             params[key] = _int_list("d=", val)
@@ -155,13 +150,13 @@ def _parse_params(items):
             params["x"] = _load(val).graph
         elif key == "x":
             # fx's building graph is a graph, not a number.
-            raise UsageError(f"parameter {item!r}: give the building graph "
+            raise ValueError(f"parameter {item!r}: give the building graph "
                              "as x-file=PATH")
         else:
             try:
                 params[key] = int(val)
             except ValueError:
-                raise UsageError(f"parameter {item!r} needs an integer value")
+                raise ValueError(f"parameter {item!r} needs an integer value")
     return params
 
 
@@ -196,7 +191,7 @@ def _cmd_solve(args, cfg, out):
         # Explicit flag overrides the file's dominated: line.
         dominated = mask_of(_int_list("--dominated", args.dominated))
         if dominated & ~pdg.graph.full_mask:
-            raise UsageError(f"--dominated id out of range in {args.dominated!r}")
+            raise ValueError(f"--dominated id out of range in {args.dominated!r}")
     turn = Turn.DOMINATOR if args.start == "dominator" else Turn.STALLER
     solver = Solver(pdg.graph, cfg)
     # Both answers before the first write: a limit failure prints nothing.
@@ -217,13 +212,10 @@ def _cmd_gamma(args, cfg, out):
 
 
 def _cmd_family(args, cfg, out):
-    try:
-        spec = FamilySpec(args.name, _parse_params(args.params))
-        if args.solve:
-            cfg.check_order(family_order(spec))
-        pdg = generate(spec)
-    except GraphError as exc:
-        raise UsageError(str(exc))
+    spec = FamilySpec(args.name, _parse_params(args.params))
+    if args.solve:
+        cfg.check_order(family_order(spec))
+    pdg = generate(spec)
     # Solved before the first write or --emit: a limit failure leaves neither.
     value = Solver(pdg.graph, cfg).game_value(pdg.dominated) if args.solve else None
     if args.emit:
@@ -256,7 +248,7 @@ def _cmd_add_edges(args, cfg, out):
         try:
             cap = caps[(args.base, args.k)]
         except KeyError:
-            raise UsageError(f"no default range for base={args.base} k={args.k}; "
+            raise ValueError(f"no default range for base={args.base} k={args.k}; "
                              "pass --n explicitly")
         cfg.check_order(cap)
         if args.full:
@@ -267,11 +259,16 @@ def _cmd_add_edges(args, cfg, out):
         orders = [n for n in range(4, cap + 1)
                   if len(non_edges(base(n))) >= args.k]
     status = 0
-    for n in orders:
+    for i, n in enumerate(orders):
         report = harness.enumerate_edge_additions(
             args.base, n, args.k, config=cfg,
             symmetry=not args.no_symmetry, workers=args.workers)
-        status = max(status, _emit_report(report, args, out))
+        text = report.render(args.format)
+        if args.format == "csv" and i:
+            # One CSV header per command: every order has the same columns.
+            text = text.partition("\n")[2]
+        out.write(text)
+        status = max(status, 0 if report.ok else 1)
     return status
 
 
@@ -284,17 +281,6 @@ def _cmd_props(args, cfg, out):
     return _emit_report(report, args, out)
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "gamma": _cmd_gamma,
-    "family": _cmd_family,
-    "sweep": _cmd_sweep,
-    "add-edges": _cmd_add_edges,
-    "verify-tables": _cmd_verify_tables,
-    "props": _cmd_props,
-}
-
-
 def run(argv=None, out=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -305,9 +291,9 @@ def run(argv=None, out=None) -> int:
         sink = (contextlib.closing(_OutputFile(args.output)) if args.output
                 else contextlib.nullcontext(out or sys.stdout))
         with sink as fh:
-            return _COMMANDS[args.command](args, cfg, fh)
-    except (UsageError, GraphError, VertexCapExceeded, MemoLimitExceeded,
-            BrokenProcessPool, ValueError, OSError) as exc:
+            return args.run(args, cfg, fh)
+    # GraphError and VertexCapExceeded are ValueErrors.
+    except (ValueError, OSError, MemoLimitExceeded, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,7 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         # vars, not asdict: the fields as they are, without a deep copy.
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     def to_csv(self) -> str:
         """One column per row key, in first-seen order; a row without a
@@ -203,7 +203,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         if value > bound:
             violations += len(orbit)
     witnesses.sort()
-    rows = [{"gamma_g": v, "count": c} for v, c in sorted(histogram.items())]
+    rows = [{"n": n, "gamma_g": v, "count": c} for v, c in sorted(histogram.items())]
     report = ExperimentReport(
         name=f"{base}-plus-{k}-edges",
         parameters={"base": base, "n": n, "edges_added": k,
@@ -482,10 +482,7 @@ def property_suite(seed: int, trials: int, *,
         while budget >= 2 and (not pieces or rng.random() < 0.7):
             kind = rng.choice(list(oracle.PiecePrimeKind))
             overhead = 1 if kind is oracle.PiecePrimeKind.PRIME else 2
-            hi = budget - overhead
-            if hi < 0:
-                break
-            ln = rng.randint(0, min(hi, 12))
+            ln = rng.randint(0, min(budget - overhead, 12))
             pieces.append((ln, kind))
             budget -= ln + overhead
             fam = ("prime-path" if kind is oracle.PiecePrimeKind.PRIME

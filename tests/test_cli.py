@@ -186,6 +186,28 @@ class TestEmptySweeps:
             == ["graph_count = 10", "graph_count = 84"]
 
 
+class TestInputErrors:
+    """Bad input exits 2 with one `error:` line that names what is wrong."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("family", "path", "n"), "parameter 'n' is not key=value"),
+        (("family", "path", "n=x"), "parameter 'n=x' needs an integer value"),
+        # P_5's ids are 0..4.
+        (("solve", "P5", "--dominated", "9"), "--dominated id out of range in '9'"),
+        (("add-edges", "--base", "path", "--k", "4"),
+         "no default range for base=path k=4; pass --n explicitly"),
+        (("add-edges", "--base", "path", "--n", "5", "--k", "0"),
+         "need at least one edge to add"),
+    ], ids=["family-no-equals", "family-non-integer", "solve-dominated-9",
+            "add-edges-no-range", "add-edges-k-0"])
+    def test_exits_2_with_message(self, argv, message, tmp_path, capsys):
+        p5 = tmp_path / "p5.el"
+        p5.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+        code, out = run_cli(*[arg.replace("P5", str(p5)) for arg in argv])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestIntegerLists:
     """Every comma-separated integer option goes through one parser, whose
     message names the option and the bad text."""
@@ -423,6 +445,29 @@ class TestReportFormats:
         _, out = run_cli("--format", "csv", *argv)
         counts = [int(row["count"]) for row in csv.DictReader(io.StringIO(out))]
         assert sum(counts) == json.loads(doc)["parameters"]["graph_count"] == 210
+
+    def test_add_edges_range_json_lines_and_one_csv_header(self):
+        # P_4..P_14 plus 2 edges: one report per order, one JSON object a
+        # line, and one CSV header over every order's rows.
+        argv = ("add-edges", "--base", "path", "--k", "2")
+        code, doc = run_cli("--format", "json", *argv)
+        assert code == 0
+        reports = [json.loads(line) for line in doc.splitlines()]
+        graph_count = {r["parameters"]["n"]: r["parameters"]["graph_count"]
+                       for r in reports}
+        assert list(graph_count) == list(range(4, 15))
+        for r in reports:
+            n = r["parameters"]["n"]
+            assert {row["n"] for row in r["rows"]} == {n}
+            assert sum(row["count"] for row in r["rows"]) == graph_count[n]
+        code, out = run_cli("--format", "csv", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "n,gamma_g,count"
+        assert out.count("gamma_g") == 1
+        counts = {}
+        for row in csv.DictReader(io.StringIO(out)):
+            counts[int(row["n"])] = counts.get(int(row["n"]), 0) + int(row["count"])
+        assert counts == graph_count
 
     def test_sweep_r_graph_reports_solver_stats(self):
         _, doc = run_cli("--format", "json", "sweep", "r-graph", "--n", "2,3")

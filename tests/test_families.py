@@ -67,6 +67,11 @@ class TestParameterValidation:
         with pytest.raises(GraphError):
             generate(spec("tadpole", m=5))
 
+    def test_extra_parameter(self):
+        with pytest.raises(GraphError) as err:
+            generate(spec("tadpole", m=5, n=3, k=1))
+        assert str(err.value) == "tadpole got unexpected parameters ['k']"
+
 
 class TestTadpole:
     def test_t31_joint_universal(self):
@@ -267,3 +272,7 @@ class TestTraceability:
     def test_families_are_traceable(self, s):
         exists, _ = has_hamiltonian_path(generate(s).graph)
         assert exists
+
+
+def test_describe_joins_list_parameters():
+    assert spec("halin", k=2, d=[3, 3]).describe() == "halin(d=3/3,k=2)"

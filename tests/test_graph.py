@@ -98,6 +98,11 @@ class TestAddEdges:
         with pytest.raises(GraphError):
             add_edges(path_graph(4), [(1, 2)])
 
+    def test_rejects_self_loop(self):
+        with pytest.raises(GraphError) as err:
+            add_edges(path_graph(4), [(0, 2), (1, 1)])
+        assert str(err.value) == "self-loop at vertex 1"
+
     def test_added_pairs_leave_non_edges(self):
         g = path_graph(6)
         pairs = [(0, 3), (1, 5)]
@@ -255,6 +260,18 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError, match="repeated edge"):
             parse_edge_list("3 3\n0 1\n1 2\n0 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty edge-list input"),
+        ("3 x\n0 1\n", "non-numeric header '3 x'"),
+        ("3 1\n0 1\ndominated: 0 x\n", "bad dominated line 'dominated: 0 x'"),
+        ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("3 1\n0 x\n", "non-numeric edge line '0 x'"),
+    ], ids=["empty", "header", "dominated", "three-fields", "edge"])
+    def test_malformed_input_message(self, text, message):
+        with pytest.raises(GraphError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
 
 class TestGraph6:
     @given(random_graph_strategy())
@@ -274,6 +291,26 @@ class TestGraph6:
     def test_header_accepted(self):
         g = cycle_graph(4)
         assert from_graph6(">>graph6<<" + to_graph6(g)) == g
+
+    def test_writer_refuses_63_vertices(self):
+        with pytest.raises(GraphError) as err:
+            to_graph6(make_graph(63, []))
+        assert str(err.value) == "graph6 writer limited to n <= 62"
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "empty graph6 input"),
+        # "!" lies below the lowest graph6 byte, "?".
+        ("B!", "invalid graph6 byte in 'B!'"),
+        # "~" as the first byte announces n >= 63.
+        ("~??~", "graph6 reader limited to n <= 62"),
+        # n = 3 needs one body byte.
+        ("B", "graph6 body length 0, expected 1"),
+        ("Bww", "graph6 body length 2, expected 1"),
+    ], ids=["empty", "invalid-byte", "over-62", "short-body", "long-body"])
+    def test_reader_message(self, line, message):
+        with pytest.raises(GraphError) as err:
+            from_graph6(line)
+        assert str(err.value) == message
 
     def test_rejects_nonzero_padding(self):
         # n = 3 uses 3 of the 6 body bits; "~" sets all six.

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domgame.families import FamilySpec
+from domgame.families import FamilySpec, generate
 from domgame.oracle import (KnownValue, PiecePrimeKind, QuarterWeight,
                             known_family_value, partial_path_values,
                             path_cycle_gamma_g, tadpole_table_row,
@@ -11,6 +11,7 @@ from domgame.oracle import (KnownValue, PiecePrimeKind, QuarterWeight,
 from domgame.harness import (EXCEPTIONAL_RESIDUES_EXPECTED,
                              TADPOLE_TABLE_EXPECTED,
                              TWO_TAILED_TABLE_EXPECTED)
+from domgame.solver import Solver
 
 
 class TestWeight:
@@ -41,6 +42,11 @@ class TestPathCycleValues:
         assert path_cycle_gamma_g(2, "path") == 1
         assert path_cycle_gamma_g(11, "path") == 5
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError) as err:
+            path_cycle_gamma_g(5, "tree")
+        assert str(err.value) == "unknown kind 'tree'"
+
     def test_order_minimums(self):
         with pytest.raises(ValueError):
             path_cycle_gamma_g(0, "path")
@@ -59,6 +65,11 @@ class TestPartialPathValues:
         assert partial_path_values(3, PiecePrimeKind.PRIME) == (1, 2)
         assert partial_path_values(6, PiecePrimeKind.DOUBLE_PRIME) == (3, 4)
         assert partial_path_values(0, PiecePrimeKind.PRIME) == (0, 0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError) as err:
+            partial_path_values(-1, PiecePrimeKind.PRIME)
+        assert str(err.value) == "length parameter must be nonnegative"
 
     def test_kind_independent(self):
         for n in range(0, 30):
@@ -124,6 +135,16 @@ class TestKnownFamilyValue:
     def test_r_graph_is_only_a_bound(self):
         spec = FamilySpec("r-graph", {"n": 2})
         assert known_family_value(spec) == KnownValue(6, False)
+
+    @pytest.mark.parametrize("family", ["prime-path", "double-prime-path"])
+    def test_dominated_path_pieces_match_solver(self, family):
+        # The closed form is the Dominator-start value from the piece's
+        # dominated end(s).
+        for n in range(15):
+            spec = FamilySpec(family, {"n": n})
+            pdg = generate(spec)
+            value = Solver(pdg.graph).game_value(pdg.dominated)
+            assert known_family_value(spec) == KnownValue(value, True), n
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,11 @@ class TestGameValue:
             for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
                 assert Solver(g).game_value(0, turn) == naive_game_value(g, 0, dom)
 
+    def test_dominated_outside_graph(self):
+        with pytest.raises(ValueError) as err:
+            Solver(path_graph(3)).game_value(0b1000)
+        assert str(err.value) == "dominated set contains ids outside the graph"
+
     def test_vertex_cap(self):
         with pytest.raises(VertexCapExceeded):
             Solver(path_graph(20), SolverConfig(vertex_cap=19))
