@@ -7,13 +7,13 @@ from .graph import (Graph, PartiallyDominatedGraph, GraphError, make_graph,
                     from_graph6, MAX_VERTICES)
 from .solver import (Turn, Solver, SolverConfig, MemoLimitExceeded,
                      VertexCapExceeded, legal_moves, domination_number)
-from .oracle import (QuarterWeight, PiecePrimeKind, KnownValue, weight,
-                     path_cycle_gamma_g, partial_path_values,
-                     union_lemma_bound, tadpole_table_row, two_tailed_table,
-                     two_tailed_failing_residues, known_family_value)
+from .oracle import (PiecePrimeKind, KnownValue, weight, path_cycle_gamma_g,
+                     partial_path_values, union_lemma_bound, tadpole_table_row,
+                     two_tailed_table, two_tailed_failing_residues,
+                     known_family_value)
 from .families import (FamilySpec, generate, halin_dominating_set, path_graph,
                        cycle_graph, FAMILY_NAMES)
-from .analysis import (has_hamiltonian_path, classify_unicyclic,
+from .analysis import (hamiltonian_endpoints, classify_unicyclic,
                        UnicyclicClass)
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ from .graph import Graph, bits, is_connected
 HAMILTONIAN_CAP = 24
 
 
-def has_hamiltonian_path(g: Graph):
-    """(exists, endpoint mask): vertices at which some Hamiltonian path ends.
+def hamiltonian_endpoints(g: Graph) -> int:
+    """The mask of vertices at which some Hamiltonian path of g ends; 0
+    exactly when g has none.
 
     Subset DP: ends[mask] holds the bitmask of feasible terminal vertices
     of paths covering exactly `mask`.
@@ -30,7 +31,7 @@ def has_hamiltonian_path(g: Graph):
         for v in bits(e):
             for u in bits(adj[v] & ~mask):
                 ends[mask | (1 << u)] |= 1 << u
-    return ends[full] != 0, ends[full]
+    return ends[full]
 
 
 @dataclass(frozen=True)

@@ -126,9 +126,10 @@ def _load(path: str) -> PartiallyDominatedGraph:
 
 
 def _int_list(name: str, text: str) -> list:
-    """The non-negative integers of a comma-separated list; blank items are
+    """The non-negative integers of a list separated by commas or slashes
+    (`FamilySpec.describe` joins list items with "/"); blank items are
     skipped, so an empty list is allowed."""
-    items = [s.strip() for s in text.split(",") if s.strip()]
+    items = [s.strip() for s in text.replace("/", ",").split(",") if s.strip()]
     for item in items:
         if not item.isdecimal():
             raise ValueError(f"bad {name} list {text!r}: {item!r} is not "
@@ -142,10 +143,8 @@ def _parse_params(items):
         if "=" not in item:
             raise ValueError(f"parameter {item!r} is not key=value")
         key, _, val = item.partition("=")
-        if key == "d":
-            params[key] = _int_list("d=", val)
-        elif key == "w":
-            params[key] = mask_of(_int_list("w=", val))
+        if key in ("d", "w"):
+            params[key] = _int_list(f"{key}=", val)
         elif key == "x-file":
             params["x"] = _load(val).graph
         elif key == "x":

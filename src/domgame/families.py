@@ -138,13 +138,14 @@ def _gen_cycle_chord(n, i):
     return PartiallyDominatedGraph(g, labels={"chord": (0, i - 1)})
 
 
-def _gen_fx(x: Graph, n: int, w: int):
+def _gen_fx(x: Graph, n: int, w: list):
     _require(n >= 3, "attachment path needs n >= 3")
     _require(x.n >= 1, "building graph must be nonempty")
-    _require(w != 0 and not w & ~x.full_mask,
+    _require(w and all(0 <= v < x.n for v in w),
              "w must be a nonempty vertex set of the building graph")
-    exists, endpoints = analysis.has_hamiltonian_path(x)
-    _require(exists, "building graph must be traceable")
+    w = mask_of(w)
+    endpoints = analysis.hamiltonian_endpoints(x)
+    _require(endpoints != 0, "building graph must be traceable")
     _require(bool(w & endpoints),
              "w must contain an end-vertex of some Hamiltonian path")
     nx = x.n

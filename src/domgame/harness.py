@@ -19,7 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from . import oracle
-from .analysis import has_hamiltonian_path
+from .analysis import hamiltonian_endpoints
 from .canon import canonical_form, canonical_key, edge_set_orbits
 from .families import (FamilySpec, cycle_graph, family_order, generate,
                        path_graph)
@@ -37,8 +37,11 @@ class ExperimentReport:
     witnesses: list = field(default_factory=list)
     wall_time: float = 0.0
     solver_stats: dict = field(default_factory=dict)
-    ok: bool = True
-    notes: list = field(default_factory=list)
+    notes: list = field(default_factory=list)  # one per failed check
+
+    @property
+    def ok(self) -> bool:
+        return not self.notes
 
     def render(self, fmt: str) -> str:
         """The report as "json", "csv" or line-oriented "text"."""
@@ -57,7 +60,7 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         # vars, not asdict: the fields as they are, without a deep copy.
-        return json.dumps(vars(self), sort_keys=True)
+        return json.dumps({**vars(self), "ok": self.ok}, sort_keys=True)
 
     def to_csv(self) -> str:
         """One column per row key, in first-seen order; a row without a
@@ -204,7 +207,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
             violations += len(orbit)
     witnesses.sort()
     rows = [{"n": n, "gamma_g": v, "count": c} for v, c in sorted(histogram.items())]
-    report = ExperimentReport(
+    return ExperimentReport(
         name=f"{base}-plus-{k}-edges",
         parameters={"base": base, "n": n, "edges_added": k,
                     "symmetry": symmetry, "graph_count": sum(map(len, orbits)),
@@ -214,12 +217,9 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         witnesses=witnesses,
         wall_time=time.perf_counter() - t0,
         solver_stats=stats,
-        ok=not violations,
+        notes=([f"bound {bound} exceeded by {violations} edge sets"]
+               if violations else []),
     )
-    if violations:
-        report.notes.append(
-            f"bound {bound} exceeded by {violations} edge sets")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     values, stats = _solve_all(pdgs, cfg, workers)
 
     rows = []
-    mismatches = []
+    notes = []
     for spec, pdg, gg in zip(specs, pdgs, values):
         n = pdg.graph.n
         bound = -(-n // 2)
@@ -259,26 +259,23 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
             known = None
         if known is not None:
             if known.exact and gg != known.value:
-                mismatches.append(f"{spec.describe()}: solver {gg} != "
-                                  f"closed form {known.value}")
+                notes.append(f"{spec.describe()}: solver {gg} != "
+                             f"closed form {known.value}")
             elif not known.exact and gg > known.value:
-                mismatches.append(f"{spec.describe()}: solver {gg} exceeds "
-                                  f"published bound {known.value}")
+                notes.append(f"{spec.describe()}: solver {gg} exceeds "
+                             f"published bound {known.value}")
     rows.sort(key=lambda row: tuple(map(str, row.values())))
-    all_hold = all(r["holds"] for r in rows)
-    report = ExperimentReport(
+    if not all(r["holds"] for r in rows):
+        notes.append("half-order bound violated; see rows")
+    return ExperimentReport(
         name=name,
         parameters={"instances": len(specs)},
         rows=rows,
         max_value=max((r["gamma_g"] for r in rows), default=None),
         wall_time=time.perf_counter() - t0,
         solver_stats=stats,
-        ok=all_hold and not mismatches,
-        notes=mismatches,
+        notes=notes,
     )
-    if not all_hold:
-        report.notes.append("half-order bound violated; see rows")
-    return report
 
 
 def tadpole_specs(max_order: int):
@@ -321,11 +318,11 @@ def random_fx_specs(count: int, seed: int, max_order: int):
         extra = [(u, v) for u in range(nx) for v in range(u + 2, nx)
                  if rng.random() < 0.3]
         x = make_graph(nx, [(v, v + 1) for v in range(nx - 1)] + extra)
-        _, endpoints = has_hamiltonian_path(x)
+        endpoints = hamiltonian_endpoints(x)
         w = _random_submask(rng, x.full_mask)
         if not w & endpoints:
             w |= endpoints & -endpoints
-        specs.append(FamilySpec("fx", {"x": x, "n": n, "w": w}))
+        specs.append(FamilySpec("fx", {"x": x, "n": n, "w": list(bits(w))}))
     return specs
 
 
@@ -402,11 +399,11 @@ def verify_tables() -> ExperimentReport:
                               sorted(EXCEPTIONAL_RESIDUES_EXPECTED)]})
     return ExperimentReport(
         name="verify-tables",
-        parameters={"tadpole_rows": 16, "two_tailed_rows": 64,
+        parameters={"tadpole_rows": len(TADPOLE_TABLE_EXPECTED),
+                    "two_tailed_rows": len(TWO_TAILED_TABLE_EXPECTED),
                     "exception_count": len(failing)},
         rows=rows,
         wall_time=time.perf_counter() - t0,
-        ok=not mismatches,
         notes=mismatches,
     )
 
@@ -523,6 +520,5 @@ def property_suite(seed: int, trials: int, *,
         parameters={"seed": seed, "trials": trials},
         rows=rows,
         wall_time=time.perf_counter() - t0,
-        ok=not failures,
         notes=failures,
     )

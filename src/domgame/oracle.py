@@ -17,28 +17,16 @@ class PiecePrimeKind(enum.Enum):
     DOUBLE_PRIME = "double"   # path on n+2 vertices, both ends dominated
 
 
-@dataclass(frozen=True)
-class QuarterWeight:
-    """Exact rational with denominator 4, stored as a count of quarters."""
-
-    quarters: int
-
-    def __add__(self, other: "QuarterWeight") -> "QuarterWeight":
-        return QuarterWeight(self.quarters + other.quarters)
-
-    def ceil(self) -> int:
-        return -(-self.quarters // 4)
-
-
 _WEIGHT_QUARTERS_BY_RESIDUE = (0, 4, 6, 7)  # 0, 1, 3/2, 7/4
 
 
-def weight(n: int) -> QuarterWeight:
-    """Weight of a one-end or two-end dominated path piece of parameter n."""
+def weight(n: int) -> int:
+    """Weight of a one-end or two-end dominated path piece of parameter n,
+    as a count of quarters."""
     if n < 0:
         raise ValueError("length parameter must be nonnegative")
     q, r = divmod(n, 4)
-    return QuarterWeight(8 * q + _WEIGHT_QUARTERS_BY_RESIDUE[r])
+    return 8 * q + _WEIGHT_QUARTERS_BY_RESIDUE[r]
 
 
 def path_cycle_gamma_g(n: int, kind: str) -> int:
@@ -68,10 +56,7 @@ def union_lemma_bound(pieces) -> int:
 
     Upper-bounds the S-game value of the disjoint union.
     """
-    total = QuarterWeight(0)
-    for n, _kind in pieces:
-        total = total + weight(n)
-    return total.ceil()
+    return -(-sum(weight(n) for n, _kind in pieces) // 4)
 
 
 def tadpole_table_row(x: int, y: int) -> tuple:
@@ -83,7 +68,8 @@ def tadpole_table_row(x: int, y: int) -> tuple:
     """
     if not (0 <= x <= 3 and 0 <= y <= 3):
         raise ValueError("residues must lie in 0..3")
-    c1 = 1 + (weight(x) + weight(y)).ceil()
+    quarters = weight(x) + weight(y)
+    c1 = 1 - (-quarters // 4)
     c2 = x + y + 4
     c3 = -(-c2 // 2)
     return c1, c2, c3
@@ -99,7 +85,8 @@ def two_tailed_table(x: int, y: int, z: int) -> tuple:
     """
     if not (0 <= x <= 3 and 0 <= y <= 3 and 0 <= z <= 3):
         raise ValueError("residues must lie in 0..3")
-    bound_c = 1 + (weight(x) + weight(y + z)).ceil()
+    quarters = weight(x) + weight(y + z)
+    bound_c = 1 - (-quarters // 4)
     ceil_c = -(-(x + y + z + 3) // 2)
     return bound_c, ceil_c, bound_c <= ceil_c
 

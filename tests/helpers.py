@@ -43,17 +43,16 @@ def naive_domination_number(g: Graph) -> int:
     raise AssertionError("unreachable: full vertex set always dominates")
 
 
-def naive_hamiltonian_endpoints(g: Graph):
-    """(exists, endpoint mask) by checking every vertex permutation."""
-    if g.n == 0:
-        return False, 0
-    if g.n == 1:
-        return True, 1
+def naive_hamiltonian_endpoints(g: Graph) -> int:
+    """The Hamiltonian-path endpoint mask, by checking every vertex
+    permutation."""
+    if g.n <= 1:
+        return g.full_mask
     endpoints = 0
     for perm in itertools.permutations(range(g.n)):
         if all(g.has_edge(perm[i], perm[i + 1]) for i in range(g.n - 1)):
             endpoints |= (1 << perm[0]) | (1 << perm[-1])
-    return endpoints != 0, endpoints
+    return endpoints
 
 
 def group_closure(generators, n: int):

@@ -209,19 +209,21 @@ class TestInputErrors:
 
 
 class TestIntegerLists:
-    """Every comma-separated integer option goes through one parser, whose
+    """Every integer list option goes through one parser, whose
     message names the option and the bad text."""
 
     @pytest.mark.parametrize("argv, message", [
         (("family", "halin", "k=2", "d=3,x"),
          "bad d= list '3,x': 'x' is not a non-negative integer"),
+        (("family", "halin", "k=2", "d=3/x"),
+         "bad d= list '3/x': 'x' is not a non-negative integer"),
         (("sweep", "r-graph", "--n", "2,x"),
          "bad --n list '2,x': 'x' is not a non-negative integer"),
         (("family", "fx", "n=3", "w=-1", "x-file=X"),
          "bad w= list '-1': '-1' is not a non-negative integer"),
         (("solve", "X", "--dominated", "0,-1"),
          "bad --dominated list '0,-1': '-1' is not a non-negative integer"),
-    ], ids=["halin-d", "r-graph-n", "fx-w", "solve-dominated"])
+    ], ids=["halin-d", "halin-d-slash", "r-graph-n", "fx-w", "solve-dominated"])
     def test_bad_item_exits_2(self, argv, message, tmp_path, capsys):
         x_file = tmp_path / "x.el"
         x_file.write_text("2 1\n0 1\n")
@@ -315,6 +317,23 @@ class TestFamily:
         assert code == 0
         assert "gamma_g = 6" in out
 
+    @pytest.mark.parametrize("params", [
+        ("halin", "k=2", "d=3,3"),
+        ("fx", "x-file=X", "n=4", "w=0,3"),
+    ], ids=["halin", "fx"])
+    def test_family_line_reads_back(self, params, tmp_path):
+        # The printed spec, pasted back as parameters, names the same graph;
+        # fx's building graph prints as graph4 and is given back as a file.
+        x_file = tmp_path / "x.el"
+        x_file.write_text("4 3\n0 1\n1 2\n2 3\n")
+        params = [p.replace("X", str(x_file)) for p in params]
+        code, out = run_cli("family", *params)
+        assert code == 0
+        name, _, inner = out.splitlines()[0].removeprefix("family = ").partition("(")
+        printed = [p.replace("x=graph4", f"x-file={x_file}")
+                   for p in inner.removesuffix(")").split(",")]
+        assert run_cli("family", name, *printed) == (0, out)
+
     def test_fx_plain_x_refused(self, capsys):
         # x names a graph: an integer there used to end in an
         # AttributeError traceback with exit 1.
@@ -352,6 +371,38 @@ class TestReports:
         code, out = run_cli("verify-tables")
         assert code == 1
         assert "ok = False" in out
+
+    @pytest.mark.parametrize("argv, target, fake, note", [
+        (("add-edges", "--base", "path", "--n", "9", "--k", "2"), "_solve_all",
+         lambda instances, cfg, workers, key: ([6] * len(instances), {}),
+         "bound 5 exceeded by 378 edge sets"),
+        (("props", "--trials", "2"), "_minimax",
+         lambda g, s, dom, memo: -1, "search-soundness: 2 failures"),
+        (("verify-tables",), "oracle.two_tailed_failing_residues",
+         lambda: [], "exceptional residue set differs from published one"),
+    ], ids=["add-edges", "props", "verify-tables"])
+    def test_failed_check_exits_1(self, argv, target, fake, note, monkeypatch):
+        monkeypatch.setattr(f"domgame.harness.{target}", fake)
+        code, out = run_cli(*argv)
+        assert code == 1
+        assert "ok = False" in out.splitlines()
+        assert f"note = {note}" in out.splitlines()
+
+    @pytest.mark.parametrize("base", ["path", "cycle"])
+    def test_no_symmetry_same_report(self, base):
+        # README: the flag changes only the run details, never the report.
+        argv = ("--format", "json", "add-edges", "--base", base, "--n", "9",
+                "--k", "2")
+        runs = [run_cli(*argv), run_cli(*argv, "--no-symmetry")]
+        assert [code for code, _ in runs] == [0, 0]
+        on, off = docs = [json.loads(out) for _, out in runs]
+        assert (on["parameters"]["symmetry"], off["parameters"]["symmetry"]) \
+            == (True, False)
+        assert off["solver_stats"]["instances_solved"] == \
+            off["parameters"]["graph_count"]
+        for doc in docs:
+            del doc["parameters"]["symmetry"], doc["solver_stats"], doc["wall_time"]
+        assert on == off
 
     def test_sweep_r_graph(self):
         code, out = run_cli("sweep", "r-graph", "--n", "2")

@@ -1,6 +1,6 @@
 import pytest
 
-from domgame.analysis import has_hamiltonian_path
+from domgame.analysis import hamiltonian_endpoints
 from domgame import oracle
 from domgame.families import (FAMILY_NAMES, FamilySpec, family_order,
                               generate, halin_dominating_set, path_graph)
@@ -27,7 +27,7 @@ ORDER_CASES = [
     (spec("double-prime-path", n=4), 6),
     (spec("path", n=7), 7),
     (spec("cycle", n=7), 7),
-    (spec("fx", x=path_graph(3), n=5, w=1), 8),
+    (spec("fx", x=path_graph(3), n=5, w=[0]), 8),
     (spec("r-prime-11"), 11),
 ]
 
@@ -158,7 +158,7 @@ class TestFamilyFX:
         return path_graph(4)
 
     def test_build(self):
-        lg = generate(spec("fx", x=self._x(), n=8, w=mask_of([0, 1, 2, 3])))
+        lg = generate(spec("fx", x=self._x(), n=8, w=[0, 1, 2, 3]))
         g = lg.graph
         y, y2 = lg.labels["y"], lg.labels["y_prime"]
         assert g.n == 12
@@ -168,17 +168,16 @@ class TestFamilyFX:
     def test_w_must_hit_hamiltonian_endpoint(self):
         # P_4 Hamiltonian paths end only at its two leaves 0 and 3.
         with pytest.raises(GraphError):
-            generate(spec("fx", x=self._x(), n=5, w=mask_of([1, 2])))
-        generate(spec("fx", x=self._x(), n=5, w=mask_of([1, 3])))
+            generate(spec("fx", x=self._x(), n=5, w=[1, 2]))
+        generate(spec("fx", x=self._x(), n=5, w=[1, 3]))
 
     def test_short_path_rejected(self):
         with pytest.raises(GraphError):
-            generate(spec("fx", x=self._x(), n=2, w=mask_of([0])))
+            generate(spec("fx", x=self._x(), n=2, w=[0]))
 
     def test_traceable(self):
-        lg = generate(spec("fx", x=self._x(), n=5, w=mask_of([0])))
-        exists, _ = has_hamiltonian_path(lg.graph)
-        assert exists
+        lg = generate(spec("fx", x=self._x(), n=5, w=[0]))
+        assert hamiltonian_endpoints(lg.graph)
 
 
 class TestHalin:
@@ -196,8 +195,7 @@ class TestHalin:
     def test_hamiltonian(self):
         for k, d in ((1, [4]), (2, [3, 2]), (2, [3, 3])):
             lg = generate(spec("halin", k=k, d=d))
-            exists, _ = has_hamiltonian_path(lg.graph)
-            assert exists
+            assert hamiltonian_endpoints(lg.graph)
 
 
 class TestHalinDominatingSet:
@@ -270,9 +268,10 @@ class TestTraceability:
         spec("r-prime-11"),
     ])
     def test_families_are_traceable(self, s):
-        exists, _ = has_hamiltonian_path(generate(s).graph)
-        assert exists
+        assert hamiltonian_endpoints(generate(s).graph)
 
 
 def test_describe_joins_list_parameters():
     assert spec("halin", k=2, d=[3, 3]).describe() == "halin(d=3/3,k=2)"
+    assert spec("fx", x=path_graph(4), n=4, w=[0, 2]).describe() == \
+        "fx(n=4,w=0/2,x=graph4)"

@@ -169,6 +169,71 @@ class TestEnumerateEdgeAdditions:
             harness.enumerate_edge_additions("path", 30, 2)
 
 
+def _over_half(instances, cfg, workers, key=None):
+    """A `_solve_all` whose every value is one above the half-order bound."""
+    return [-(-pdg.graph.n // 2) + 1 for pdg in instances], {}
+
+
+class TestAlarms:
+    """Each failed check writes its note, and a report with a note is not ok."""
+
+    def test_edge_sweep_over_bound(self, monkeypatch):
+        monkeypatch.setattr(harness, "_solve_all", _over_half)
+        r = harness.enumerate_edge_additions("path", 9, 2)
+        assert r.notes == ["bound 5 exceeded by 378 edge sets"]
+        assert r.ok is False
+        assert r.rows == [{"n": 9, "gamma_g": 6, "count": 378}]
+
+    def test_solver_above_published_bound(self, monkeypatch):
+        monkeypatch.setattr(harness, "_solve_all", _over_half)
+        r = harness.sweep_family(harness.r_graph_specs([2]))
+        assert r.notes == ["r-graph(n=2): solver 7 exceeds published bound 6",
+                           "half-order bound violated; see rows"]
+        assert r.ok is False
+
+    def test_exceptional_residues_differ(self, monkeypatch):
+        monkeypatch.setattr(harness.oracle, "two_tailed_failing_residues",
+                            lambda: [(0, 0, 0)])
+        r = harness.verify_tables()
+        assert r.notes == ["exceptional residue set differs from published one"]
+        assert r.ok is False
+        assert r.parameters["exception_count"] == 1
+
+    @pytest.mark.parametrize("target, fake, notes", [
+        ("oracle.union_lemma_bound", lambda pieces: -1,
+         ["union-bound: 3 failures"]),
+        ("domination_number", lambda g, cfg: 0,
+         ["gamma-sandwich: 3 failures"]),
+        ("_minimax", lambda g, s, dom, memo: -1,
+         ["search-soundness: 3 failures"]),
+    ], ids=["union-bound", "gamma-sandwich", "search-soundness"])
+    def test_property_failures(self, target, fake, notes, monkeypatch):
+        monkeypatch.setattr(f"domgame.harness.{target}", fake)
+        r = harness.property_suite(seed=0, trials=3)
+        assert r.notes == notes
+        assert r.ok is False
+
+    def test_continuation_principle_failures(self, monkeypatch):
+        # Each game_value call reads one less than the call before, so the
+        # larger dominated set, asked first, always plays longer.  The
+        # negative values also fail the sandwich and soundness checks.
+        calls = itertools.count()
+
+        class Countdown:
+            def __init__(self, graph, config=None):
+                pass
+
+            def game_value(self, dominated=0, turn=None):
+                return -next(calls)
+
+        monkeypatch.setattr(harness, "Solver", Countdown)
+        r = harness.property_suite(seed=0, trials=3)
+        assert r.notes == ["continuation-principle: 6 failures",
+                           "gamma-sandwich: 3 failures",
+                           "search-soundness: 3 failures"]
+        assert r.ok is False
+
+
 class TestSweepFamily:
     def test_deterministic_reports(self):
         specs = harness.tadpole_specs(10)
@@ -194,6 +259,13 @@ class TestSweepFamily:
         lines = r.to_csv().strip().splitlines()
         assert lines[0] == "family,params,n,gamma_g,bound,holds,is_half_graph"
         assert len(lines) == 3
+
+    def test_random_fx_w_is_a_vertex_list(self):
+        # The draws of seed 0; w was once stored as the mask of these lists.
+        specs = harness.random_fx_specs(5, 0, 18)
+        assert [(s.params["n"], s.params["x"].n, s.params["w"]) for s in specs] \
+            == [(9, 5, [0, 2, 3, 4]), (12, 2, [0]), (12, 6, [0, 1, 3]),
+                (4, 2, [1]), (3, 7, [0, 1, 2, 3, 4, 6])]
 
     def test_random_fx_seeded_reproducible(self):
         a = harness.random_fx_specs(5, 42, 16)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domgame.families import FamilySpec, generate
-from domgame.oracle import (KnownValue, PiecePrimeKind, QuarterWeight,
+from domgame.oracle import (KnownValue, PiecePrimeKind,
                             known_family_value, partial_path_values,
                             path_cycle_gamma_g, tadpole_table_row,
                             two_tailed_failing_residues, two_tailed_table,
@@ -16,24 +16,24 @@ from domgame.solver import Solver
 
 class TestWeight:
     def test_examples(self):
-        assert weight(7).quarters == 15     # 2 + 7/4
-        assert weight(0).quarters == 0
-        assert weight(6).quarters == 14     # 7/2
+        assert weight(7) == 15     # 2 + 7/4
+        assert weight(0) == 0
+        assert weight(6) == 14     # 7/2
 
     @given(st.integers(0, 1000))
     def test_piecewise_forms_agree(self, n):
         # n/2 for n=0 mod 4; n/2 + 1/2 for 1,2; n/2 + 1/4 for 3 (quarters).
         extra = {0: 0, 1: 2, 2: 2, 3: 1}[n % 4]
-        assert weight(n).quarters == 2 * n + extra
+        assert weight(n) == 2 * n + extra
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             weight(-1)
 
     def test_quarter_arithmetic(self):
-        s = weight(1) + weight(2)
-        assert s == QuarterWeight(10)
-        assert s.ceil() == 3
+        assert weight(1) + weight(2) == 10
+        assert union_lemma_bound([(1, PiecePrimeKind.PRIME),
+                                  (2, PiecePrimeKind.DOUBLE_PRIME)]) == 3
 
 
 class TestPathCycleValues:
