@@ -1,7 +1,5 @@
 """Traceability and unicyclic classification."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from .graph import Graph, bits, is_connected

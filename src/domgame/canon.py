@@ -17,8 +17,6 @@ the last initial cell, so an isomorphism must map it onto the other
 dominated set, and every automorphism preserves it.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 
 from .graph import Graph, non_edges

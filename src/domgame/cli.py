@@ -5,8 +5,6 @@ Exit codes: 0 success / bounds hold, 1 bound violation or table
 mismatch, 2 usage or I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -61,8 +59,8 @@ def _build_parser():
     s.add_argument("file")
     s.add_argument("--dominated", default=None,
                    help="comma-separated pre-dominated vertex ids")
-    s.add_argument("--start", choices=("dominator", "staller"),
-                   default="dominator")
+    s.add_argument("--start", choices=[t.value for t in Turn],
+                   default=Turn.DOMINATOR.value)
     s.set_defaults(run=_cmd_solve)
 
     s = sub.add_parser("gamma", help="domination number of a graph file")
@@ -143,6 +141,9 @@ def _parse_params(items):
         if "=" not in item:
             raise ValueError(f"parameter {item!r} is not key=value")
         key, _, val = item.partition("=")
+        name = "x" if key == "x-file" else key
+        if name in params:
+            raise ValueError(f"parameter {name!r} given twice")
         if key in ("d", "w"):
             params[key] = _int_list(f"{key}=", val)
         elif key == "x-file":
@@ -191,7 +192,7 @@ def _cmd_solve(args, cfg, out):
         dominated = mask_of(_int_list("--dominated", args.dominated))
         if dominated & ~pdg.graph.full_mask:
             raise ValueError(f"--dominated id out of range in {args.dominated!r}")
-    turn = Turn.DOMINATOR if args.start == "dominator" else Turn.STALLER
+    turn = Turn(args.start)
     solver = Solver(pdg.graph, cfg)
     # Both answers before the first write: a limit failure prints nothing.
     value = solver.game_value(dominated, turn)

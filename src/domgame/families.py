@@ -16,8 +16,6 @@ Generators validate their parameter constraints and order formulas
 eagerly and fail loudly: they double as test fixtures.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 from . import analysis
@@ -27,7 +25,8 @@ from .graph import (MAX_VERTICES, Graph, GraphError, PartiallyDominatedGraph,
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Tagged family descriptor: name plus its parameter assignment."""
+    """Tagged family descriptor: name plus its parameter assignment.
+    Equal specs describe alike, so they hash alike."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -35,6 +34,9 @@ class FamilySpec:
     def describe(self) -> str:
         inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
+
+    def __hash__(self):
+        return hash(self.describe())
 
 
 def _fmt(v):

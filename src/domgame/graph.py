@@ -6,8 +6,6 @@ every vertex as one machine word, which is the representation the game
 solver queries in its innermost loop.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 MAX_VERTICES = 64

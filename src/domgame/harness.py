@@ -7,8 +7,6 @@ fixed seed and configuration; parallel runs merge results in input order
 so worker scheduling cannot leak into the output.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
@@ -160,7 +158,7 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
 # ---------------------------------------------------------------------------
 
 def enumerate_edge_additions(base: str, n: int, k: int, *,
-                             config: SolverConfig | None = None,
+                             config: SolverConfig = SolverConfig(),
                              symmetry: bool = True,
                              workers: int = 1) -> ExperimentReport:
     """Solve every addition of k edges to P_n or C_n and record the maximum.
@@ -175,8 +173,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
         raise ValueError(f"base must be 'path' or 'cycle', got {base!r}")
     if k < 1:
         raise ValueError("need at least one edge to add")
-    cfg = config or SolverConfig()
-    cfg.check_order(n)
+    config.check_order(n)
     t0 = time.perf_counter()
     g = path_graph(n) if base == "path" else cycle_graph(n)
     if symmetry:
@@ -192,7 +189,7 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
 
     values, stats = _solve_all(
         [PartiallyDominatedGraph(add_edges(g, orbit[0])) for orbit in orbits],
-        cfg, workers, key)
+        config, workers, key)
 
     bound = -(-n // 2)
     max_value = max(values)
@@ -226,10 +223,11 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
 # Family sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_family(specs, *, config: SolverConfig | None = None,
+def sweep_family(specs, *, config: SolverConfig = SolverConfig(),
                  workers: int = 1, name: str = "family-sweep") -> ExperimentReport:
     """Solve every instance, check the half-order bound, and compare the
-    solver against the closed-form value where one is published.
+    solver against the closed-form value where one is published.  One row
+    per spec, in spec order.
 
     Each spec's order is checked against the vertex cap before its graph
     is generated, so an over-cap sweep stops at its first spec over the
@@ -237,13 +235,12 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
     specs = list(specs)
     if not specs:
         raise ValueError(f"{name} has no instances to solve")
-    cfg = config or SolverConfig()
     t0 = time.perf_counter()
     pdgs = []
     for spec in specs:
-        cfg.check_order(family_order(spec))
+        config.check_order(family_order(spec))
         pdgs.append(generate(spec))
-    values, stats = _solve_all(pdgs, cfg, workers)
+    values, stats = _solve_all(pdgs, config, workers)
 
     rows = []
     notes = []
@@ -264,7 +261,6 @@ def sweep_family(specs, *, config: SolverConfig | None = None,
             elif not known.exact and gg > known.value:
                 notes.append(f"{spec.describe()}: solver {gg} exceeds "
                              f"published bound {known.value}")
-    rows.sort(key=lambda row: tuple(map(str, row.values())))
     if not all(r["holds"] for r in rows):
         notes.append("half-order bound violated; see rows")
     return ExperimentReport(
@@ -442,11 +438,10 @@ def _minimax(g: Graph, s: int, dom: bool, memo: dict) -> int:
 
 
 def property_suite(seed: int, trials: int, *,
-                   config: SolverConfig | None = None) -> ExperimentReport:
+                   config: SolverConfig = SolverConfig()) -> ExperimentReport:
     """Run the randomized solver invariants with a fixed seed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    cfg = config or SolverConfig()
     t0 = time.perf_counter()
     rng = random.Random(seed)
     rows = []
@@ -464,7 +459,7 @@ def property_suite(seed: int, trials: int, *,
         g = random_graph(rng, n, rng.uniform(0.2, 0.6))
         a = _random_submask(rng, g.full_mask)
         b = _random_submask(rng, a)
-        solver = Solver(g, cfg)
+        solver = Solver(g, config)
         for turn in (Turn.DOMINATOR, Turn.STALLER):
             if solver.game_value(a, turn) > solver.game_value(b, turn):
                 failed += 1
@@ -486,7 +481,7 @@ def property_suite(seed: int, trials: int, *,
                    else "double-prime-path")
             part = generate(FamilySpec(fam, {"n": ln}))
             pdg = part if pdg is None else disjoint_union(pdg, part)
-        value = Solver(pdg.graph, cfg).game_value(pdg.dominated, Turn.STALLER)
+        value = Solver(pdg.graph, config).game_value(pdg.dominated, Turn.STALLER)
         if value > oracle.union_lemma_bound(pieces):
             failed += 1
     record("union-bound", failed)
@@ -496,8 +491,8 @@ def property_suite(seed: int, trials: int, *,
     for _ in range(trials):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.uniform(0.25, 0.6), connected=True)
-        gamma = domination_number(g, cfg)
-        gg = Solver(g, cfg).game_value()
+        gamma = domination_number(g, config)
+        gg = Solver(g, config).game_value()
         if not gamma <= gg <= 2 * gamma - 1:
             failed += 1
     record("gamma-sandwich", failed)
@@ -510,7 +505,7 @@ def property_suite(seed: int, trials: int, *,
         g = random_graph(rng, n, rng.uniform(0.2, 0.6))
         dominated = _random_submask(rng, g.full_mask) if rng.random() < 0.5 else 0
         turn = rng.choice(list(Turn))
-        value = Solver(g, cfg).game_value(dominated, turn)
+        value = Solver(g, config).game_value(dominated, turn)
         if value != _minimax(g, dominated, turn is Turn.DOMINATOR, {}):
             failed += 1
     record("search-soundness", failed)

@@ -6,8 +6,6 @@ tadpole and two-tailed tadpole bounds.  All arithmetic is exact; weights
 live in integer quarter units so ceilings never touch floating point.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
 

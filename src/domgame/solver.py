@@ -26,8 +26,6 @@ only ints; kept lists stay tracked, so full collections come more often
 and take longer as the tables grow.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
 
@@ -42,7 +40,7 @@ class Turn(enum.Enum):
         return Turn.STALLER if self is Turn.DOMINATOR else Turn.DOMINATOR
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     memo_limit: int = 1_000_000
     vertex_cap: int = 26
@@ -82,10 +80,10 @@ class Solver:
     """One graph; per turn, one table entry per stored state: its bounds
     and its ordered children.  Not thread-shared."""
 
-    def __init__(self, graph: Graph, config: SolverConfig | None = None):
+    def __init__(self, graph: Graph, config: SolverConfig = SolverConfig()):
+        config.check_order(graph.n)
         self.graph = graph
-        self.config = config or SolverConfig()
-        self.config.check_order(graph.n)
+        self.config = config
         self._full = graph.full_mask
         # Per turn, state -> (lo, hi, its children in the order that turn
         # tries them).
@@ -206,9 +204,9 @@ class Solver:
                    if self.value_with_forced_first_move(v, dominated, turn) == target)
 
 
-def domination_number(g: Graph, config: SolverConfig | None = None) -> int:
+def domination_number(g: Graph, config: SolverConfig = SolverConfig()) -> int:
     """Exact domination number by branch and bound on undominated vertices."""
-    (config or SolverConfig()).check_order(g.n)
+    config.check_order(g.n)
     if g.n == 0:
         return 0
     full = g.full_mask

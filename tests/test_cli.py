@@ -50,6 +50,11 @@ class TestSolve:
         assert code == 0
         assert "gamma_g = 1" in out
 
+    def test_start_word_not_a_turn(self, p11_file, capsys):
+        code, out = run_cli("solve", p11_file, "--start", "both")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'both'" in capsys.readouterr().err
+
     def test_missing_file(self):
         code, _ = run_cli("solve", "/nonexistent/graph.el")
         assert code == 2
@@ -198,8 +203,17 @@ class TestInputErrors:
          "no default range for base=path k=4; pass --n explicitly"),
         (("add-edges", "--base", "path", "--n", "5", "--k", "0"),
          "need at least one edge to add"),
+        # A repeated parameter is refused, not overwritten by the last one.
+        (("family", "path", "n=3", "n=9"), "parameter 'n' given twice"),
+        (("family", "halin", "k=2", "d=3,3", "d=3,4"),
+         "parameter 'd' given twice"),
+        (("family", "fx", "x-file=P5", "n=3", "w=0", "w=4"),
+         "parameter 'w' given twice"),
+        (("family", "fx", "x-file=P5", "n=3", "w=0", "x-file=P5"),
+         "parameter 'x' given twice"),
     ], ids=["family-no-equals", "family-non-integer", "solve-dominated-9",
-            "add-edges-no-range", "add-edges-k-0"])
+            "add-edges-no-range", "add-edges-k-0", "family-n-twice",
+            "family-d-twice", "family-w-twice", "family-x-file-twice"])
     def test_exits_2_with_message(self, argv, message, tmp_path, capsys):
         p5 = tmp_path / "p5.el"
         p5.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")

@@ -275,3 +275,17 @@ def test_describe_joins_list_parameters():
     assert spec("halin", k=2, d=[3, 3]).describe() == "halin(d=3/3,k=2)"
     assert spec("fx", x=path_graph(4), n=4, w=[0, 2]).describe() == \
         "fx(n=4,w=0/2,x=graph4)"
+
+
+def test_equal_specs_hash_equal():
+    pairs = [
+        (spec("path", n=3), spec("path", n=3)),
+        (spec("halin", k=2, d=[3, 3]), spec("halin", d=[3, 3], k=2)),
+        (spec("fx", x=path_graph(4), n=4, w=[0, 2]),
+         spec("fx", x=path_graph(4), n=4, w=[0, 2])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    keyed = {a: i for i, (a, _) in enumerate(pairs)}
+    assert [keyed[b] for _, b in pairs] == [0, 1, 2]
+    assert len({spec("path", n=3), spec("path", n=4), spec("cycle", n=3)}) == 3

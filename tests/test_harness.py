@@ -248,6 +248,15 @@ class TestSweepFamily:
         r = harness.sweep_family(harness.hatted_cycle_specs(4, 9))
         assert r.ok and not r.notes
 
+    @pytest.mark.parametrize("specs", [
+        harness.hatted_cycle_specs(4, 12),
+        harness.cycle_chord_specs(11),
+    ], ids=["hatted-cycle", "cycle-chord"])
+    def test_rows_follow_spec_order(self, specs):
+        # Not sorted as text, which put hatted-cycle(n=10) before (n=4).
+        r = harness.sweep_family(specs)
+        assert [row["params"] for row in r.rows] == [s.describe() for s in specs]
+
     def test_workers_match_serial(self):
         specs = harness.tadpole_specs(9)
         serial = harness.sweep_family(specs, workers=1)

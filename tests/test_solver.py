@@ -1,5 +1,7 @@
-import io
+import dataclasses
 import gc
+import inspect
+import io
 import random
 
 import pytest
@@ -211,6 +213,22 @@ class TestDominationNumber:
     def test_cap(self):
         with pytest.raises(VertexCapExceeded):
             domination_number(path_graph(30), config=SolverConfig(vertex_cap=26))
+
+
+class TestSolverConfig:
+    def test_frozen(self):
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.vertex_cap = 500
+        assert cfg.vertex_cap == 26
+
+    @pytest.mark.parametrize("entry", [
+        Solver, domination_number, harness.enumerate_edge_additions,
+        harness.sweep_family, harness.property_suite,
+    ], ids=lambda f: f.__name__)
+    def test_entry_points_default_to_the_config(self, entry):
+        default = inspect.signature(entry).parameters["config"].default
+        assert default == SolverConfig()
 
 
 class TestVertexCap:
