@@ -102,7 +102,13 @@ def _pool_map(jobs, workers, chunksize):
         return list(_pool[1].map(_sweep_one, jobs, chunksize=chunksize))
     except BaseException as exc:
         # A pool that breaks terminates its other workers, so this shutdown
-        # cannot wait on one blocked on the dead worker's queue lock.
+        # cannot wait on one blocked on the dead worker's queue lock.  Any
+        # other failure ends the workers here, or the shutdown would wait
+        # for the jobs they are still running.  (`terminate_workers` needs
+        # Python 3.14.)
+        if not isinstance(exc, BrokenProcessPool):
+            for process in list(_pool[1]._processes.values()):
+                process.terminate()
         _drop_pool()
         # A kept pool may have lost a worker while it sat idle.
         if not (kept and isinstance(exc, BrokenProcessPool)):

@@ -14,6 +14,10 @@ either player to move, so a skipped move is never better for its player
 than a kept one.  Stored bounds of skipped children are still read, and
 `optimal_first_moves` still tries every legal move.
 
+A new state's bounds come from its sorted children: with U undominated
+vertices, largest gain g and smallest m, Dominator to move gives
+[ceil(U/g), 1 + U - g] and Staller to move [1 + ceil((U - m)/g), 1 + U - m].
+
 `_test` makes two passes over a state's children, largest gain first on
 Dominator's turn and smallest first on Staller's: the transposition pass
 stops at the first child whose stored bounds decide the test, and the
@@ -120,10 +124,20 @@ class Solver:
             order = tuple(sorted({s | r for r in self.graph.closed} - {s},
                                  key=int.bit_count, reverse=dom))
             # Every move dominates at least one undominated vertex and at
-            # most the largest gain available now; gains only shrink.
+            # most the largest gain g available now; gains only shrink.
+            # The first child (largest gain for Dominator, smallest for
+            # Staller) leaves `rest` vertices undominated.  Dominator can
+            # play it, and no Staller move leaves more, so the game ends
+            # within 1 + rest moves; Staller can play it, so the game
+            # lasts at least 1 + ceil(rest / g).
             undominated = (self._full & ~s).bit_count()
-            gain = order[0 if dom else -1].bit_count() - s.bit_count()
-            lo, hi = -(-undominated // gain), undominated
+            rest = (self._full & ~order[0]).bit_count()
+            if dom:
+                lo = -(-undominated // (undominated - rest))
+            else:
+                g = order[-1].bit_count() - s.bit_count()
+                lo = 1 - (-rest // g)
+            hi = 1 + rest
         else:
             lo, hi, order = entry
             if not lo <= k < hi:

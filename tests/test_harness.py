@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
@@ -304,6 +305,19 @@ class _ExitOnce:
         return _exit_once, (self.marker,)
 
 
+def _sleep_then_zero(seconds):
+    time.sleep(seconds)
+    return 0
+
+
+class _Sleep:
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __reduce__(self):
+        return _sleep_then_zero, (self.seconds,)
+
+
 class TestPool:
     """Pooled batches share the process's one pool, and a pool with a dead
     worker is replaced, not reused."""
@@ -387,6 +401,18 @@ class TestPool:
         with pytest.raises(MemoLimitExceeded):
             harness.sweep_family(self.SPECS, workers=2,
                                  config=SolverConfig(memo_limit=5))
+        assert self.worker_pids() == []
+
+    def test_failed_batch_stops_running_jobs(self):
+        # The first job exceeds the memo limit at once, while the other
+        # worker sleeps 6 s on unpickling the second.
+        jobs = [SimpleNamespace(graph=path_graph(12), dominated=0),
+                SimpleNamespace(graph=path_graph(12), dominated=_Sleep(6))]
+        start = time.monotonic()
+        with pytest.raises(MemoLimitExceeded):
+            harness._solve_all(jobs, SolverConfig(memo_limit=5), 2,
+                               key=lambda g, d: d)
+        assert time.monotonic() - start < 3
         assert self.worker_pids() == []
 
 

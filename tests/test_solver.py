@@ -292,16 +292,16 @@ class TestExplorationPins:
     should leave the search alone must leave them alone too."""
 
     @pytest.mark.parametrize("start, turn, value, states", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 3_043),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 3_696),
-        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 7_074),
-        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 10_064),
-        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 3_432),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_764),
-        (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_193),
-        (_family("r-graph", 4), Turn.DOMINATOR, 10, 2_219),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 2_820),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 3_391),
+        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 6_761),
+        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 9_819),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 3_224),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_510),
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_154),
+        (_family("r-graph", 4), Turn.DOMINATOR, 10, 2_157),
         # Staller starts; both ends are already dominated.
-        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_483),
+        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_338),
     ], ids=["P20-D", "C20-D", "P22-D", "C22-D", "P20-S", "C20-S",
             "hatted-cycle17-D", "r-graph4-D", "double-prime-path18-S"])
     def test_states_explored(self, start, turn, value, states):
@@ -310,11 +310,11 @@ class TestExplorationPins:
         assert s.states_explored == states
 
     @pytest.mark.parametrize("start, turn, states, followup, moves", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 3_043, 7_111,
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 2_820, 6_792,
          [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_764, 5_175,
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_510, 4_903,
          list(range(20))),
-        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_193, 2_054,
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_154, 1_932,
          list(range(18))),
     ], ids=["P20-D", "C20-S", "hatted-cycle17-D"])
     def test_optimal_first_moves_after_value(self, start, turn, states,
@@ -326,6 +326,38 @@ class TestExplorationPins:
         assert s.states_explored == states
         assert list(bits(s.optimal_first_moves(start.dominated, turn))) == moves
         assert s.states_explored == followup
+
+
+class TestNewEntryBounds:
+    """The (lo, hi) a state's entry starts with.  `_test(s, dom, -1)`
+    stores them and searches nothing, since every new lo is at least 1."""
+
+    @staticmethod
+    def first_bounds(g, dominated, dom):
+        s = Solver(g)
+        assert not s._test(dominated, dom, -1)
+        return (s._table_d if dom else s._table_s)[dominated][:2]
+
+    def test_bracket_brute_force(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
+            for dominated in range(g.full_mask):
+                for dom in (True, False):
+                    lo, hi = self.first_bounds(g, dominated, dom)
+                    assert lo <= naive_game_value(g, dominated, dom) <= hi
+
+    # Bounds from the largest gain alone, (ceil(U/g), U), would read
+    # (1, 4), (2, 4), (2, 6) and (2, 5).
+    @pytest.mark.parametrize("g, dom, bounds", [
+        (make_graph(4, [(0, 1), (0, 2), (0, 3)]), False, (2, 3)),
+        (path_graph(4), True, (2, 2)),
+        (path_graph(6), False, (3, 5)),
+        (cycle_graph(5), False, (2, 3)),
+    ], ids=["K13-S", "P4-D", "P6-S", "C5-S"])
+    def test_one_move_lookahead(self, g, dom, bounds):
+        assert self.first_bounds(g, 0, dom) == bounds
 
 
 class TestSolverInvariants:
