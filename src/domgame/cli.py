@@ -162,9 +162,10 @@ def _parse_params(items):
 
 class _OutputFile:
     """The --output file, truncated by the first write: a command that
-    fails before it writes leaves the old file as it was."""
+    fails before it writes leaves the old file as it was, or no file."""
 
     def __init__(self, path):
+        self.created = not os.path.exists(path)
         # Append mode truncates nothing, but an unwritable path fails here,
         # before the command does any work.
         open(path, "a", encoding="utf-8").close()
@@ -177,6 +178,8 @@ class _OutputFile:
     def close(self):
         if self.fh:
             self.fh.close()
+        elif self.created:
+            os.remove(self.path)
 
 
 def _emit_report(report, args, out):

@@ -11,12 +11,17 @@ move's (on Dominator's turn) or contains another move's (on Staller's).
 By the Continuation Principle (Kinnersley, West & Zamani 2013; Brešar,
 Klavžar & Rall 2010) a larger dominated set never lengthens the game, for
 either player to move, so a skipped move is never better for its player
-than a kept one.  Stored bounds of skipped children are still read, and
-`optimal_first_moves` still tries every legal move.
+than a kept one.  Stored bounds of skipped children are still read.
+`optimal_first_moves` decides each child from its stored bounds, or by the
+same principle from a non-optimal child it lies inside (Dominator) or
+around (Staller), and solves only the children neither decides.
 
 A new state's bounds come from its sorted children: with U undominated
 vertices, largest gain g and smallest m, Dominator to move gives
 [ceil(U/g), 1 + U - g] and Staller to move [1 + ceil((U - m)/g), 1 + U - m].
+When those leave a new Dominator state to be searched, lo is raised to the
+size of a greedy packing: undominated vertices pairwise at distance >= 3,
+of which one move dominates at most one.
 
 `_test` makes two passes over a state's children, largest gain first on
 Dominator's turn and smallest first on Staller's: the transposition pass
@@ -138,6 +143,24 @@ class Solver:
                 g = order[-1].bit_count() - s.bit_count()
                 lo = 1 - (-rest // g)
             hi = 1 + rest
+            if dom and lo <= k < hi:
+                # Undominated vertices pairwise at distance >= 3 need a
+                # move each: one move dominates at most one of them.  Take
+                # the lowest undominated vertex, drop every vertex within
+                # distance 2 of it, repeat.  Computed only where the state
+                # is searched, and only for Dominator: elsewhere it costs
+                # more time than the states it saves.
+                closed = self.graph.closed
+                m = self._full & ~s
+                p = 0
+                while m:
+                    p += 1
+                    near = closed[(m & -m).bit_length() - 1]
+                    while near:
+                        w = near & -near
+                        m &= ~closed[w.bit_length() - 1]
+                        near ^= w
+                lo = max(lo, p)
         else:
             lo, hi, order = entry
             if not lo <= k < hi:
@@ -214,8 +237,31 @@ class Solver:
         if not moves:
             raise ValueError("no legal moves: state is fully dominated")
         target = self.game_value(dominated, turn)
+        dom = turn is Turn.DOMINATOR
+        table, child = ((self._table_d, self._table_s) if dom
+                        else (self._table_s, self._table_d))
+        # A move is optimal iff its child's value is goal = target - 1.  Walk
+        # the children in the search's order, largest first for Dominator
+        # and smallest first for Staller: by the Continuation Principle a
+        # child inside (Dominator) or around (Staller) a non-optimal child
+        # is itself non-optimal, so only children that neither stored
+        # bounds nor an earlier non-optimal child decide are solved.
+        goal = target - 1
+        unknown = (0, self.graph.n, ())
+        worse = []
+        for t in table[dominated][2]:
+            lo, hi, _ = child.get(t, unknown)
+            if lo <= goal <= hi and not any(t | u == (u if dom else t)
+                                            for u in worse):
+                # Dominator's children last at least goal moves and
+                # Staller's at most goal, so hi (lo) == goal decides.
+                if ((hi if dom else lo) == goal
+                        or self.game_value(t, turn.other()) == goal):
+                    continue
+            worse.append(t)
+        worse = set(worse)
         return sum(1 << v for v in bits(moves)
-                   if self.value_with_forced_first_move(v, dominated, turn) == target)
+                   if dominated | self.graph.closed[v] not in worse)
 
 
 def domination_number(g: Graph, config: SolverConfig = SolverConfig()) -> int:

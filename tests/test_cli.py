@@ -253,21 +253,32 @@ class TestIntegerLists:
         assert code == 0 and "n = 5" in out
 
 
+_FAILING_BEFORE_OUTPUT = pytest.mark.parametrize("argv", [
+    ("solve", "/nonexistent/missing.el"),
+    ("--format", "json", "sweep", "tadpole", "--max-order", "70"),
+    ("sweep", "r-graph", "--n", "2,x"),
+], ids=["missing-file", "over-cap-sweep", "bad-list"])
+
+
 class TestOutputFile:
     """--output is opened by the command's first write, so a command that
-    fails before it writes leaves an existing file as it was."""
+    fails before it writes leaves an existing file as it was, and creates
+    none where there was none."""
 
-    @pytest.mark.parametrize("argv", [
-        ("solve", "/nonexistent/missing.el"),
-        ("--format", "json", "sweep", "tadpole", "--max-order", "70"),
-        ("sweep", "r-graph", "--n", "2,x"),
-    ], ids=["missing-file", "over-cap-sweep", "bad-list"])
+    @_FAILING_BEFORE_OUTPUT
     def test_failed_command_keeps_old_file(self, argv, tmp_path):
         out_file = tmp_path / "prev.txt"
         out_file.write_text("previous report\n")
         code, out = run_cli("--output", str(out_file), *argv)
         assert (code, out) == (2, "")
         assert out_file.read_text() == "previous report\n"
+
+    @_FAILING_BEFORE_OUTPUT
+    def test_failed_command_leaves_no_new_file(self, argv, tmp_path):
+        out_file = tmp_path / "new.txt"
+        code, out = run_cli("--output", str(out_file), *argv)
+        assert (code, out) == (2, "")
+        assert not out_file.exists()
 
     def test_unwritable_file_fails_before_any_work(self, monkeypatch):
         calls = []

@@ -28,6 +28,20 @@ def _random_graph(rng, n, p):
     return make_graph(n, edges)
 
 
+def _record_solves(monkeypatch):
+    """The list of dominated sets `Solver.game_value` is called on from
+    now on."""
+    solved = []
+    game_value = Solver.game_value
+
+    def recording_game_value(solver, dominated=0, turn=Turn.DOMINATOR):
+        solved.append(dominated)
+        return game_value(solver, dominated, turn)
+
+    monkeypatch.setattr(Solver, "game_value", recording_game_value)
+    return solved
+
+
 class TestLegalMoves:
     def test_game_over(self):
         g = cycle_graph(5)
@@ -161,6 +175,47 @@ class TestOptimalFirstMoves:
         with pytest.raises(ValueError):
             Solver(g).optimal_first_moves(g.full_mask)
 
+    def test_children_decided_without_solving(self, monkeypatch):
+        # P_20 from Dominator's start: 20 distinct children, and the stored
+        # bounds decide at least one of them, so fewer are solved.
+        g = path_graph(20)
+        s = Solver(g)
+        s.game_value()
+        solved = _record_solves(monkeypatch)
+        moves = s.optimal_first_moves()
+        assert list(bits(moves)) == [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]
+        # The first call is the start's value, already stored.
+        assert solved[0] == 0
+        children = {g.closed[v] for v in range(20)}
+        assert len(children) == 20
+        assert set(solved[1:]) <= children
+        assert len(solved[1:]) < len(children)
+
+    def test_continuation_principle_decides_children(self, monkeypatch):
+        # P_9 from Staller's start (value 5): playing an end leaves a child
+        # of value 3, not 4, so the children around those, N[1] and N[7],
+        # are non-optimal without a solve.
+        g = path_graph(9)
+        s = Solver(g)
+        assert s.game_value(0, Turn.STALLER) == 5
+        solved = _record_solves(monkeypatch)
+        assert list(bits(s.optimal_first_moves(0, Turn.STALLER))) == [2, 6]
+        assert solved and not {g.closed[1], g.closed[7]} & set(solved)
+        assert naive_optimal_first_moves(g, 0, False) == mask_of([2, 6])
+
+    def test_partial_starts_match_naive(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            n = rng.randint(5, 9)
+            g = _random_graph(rng, n, rng.uniform(0.2, 0.6))
+            start = mask_of(v for v in range(n) if rng.random() < 0.4)
+            if start == g.full_mask:
+                continue
+            s = Solver(g)
+            for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
+                assert (s.optimal_first_moves(start, turn)
+                        == naive_optimal_first_moves(g, start, dom))
+
 
 class TestForcedFirstMove:
     def test_hatted_cycle_9_on_y(self):
@@ -278,7 +333,7 @@ class TestExtremalChildren:
         (cycle_graph(20), 3_900),
     ], ids=["P20", "C20"])
     def test_dominator_start_state_ceiling(self, g, ceiling):
-        # Searching every distinct child stores 6 400 (P_20) and 7 470
+        # Searching every distinct child stores 4 035 (P_20) and 5 217
         # (C_20) states.
         s = Solver(g)
         assert s.game_value() == 10
@@ -292,16 +347,16 @@ class TestExplorationPins:
     should leave the search alone must leave them alone too."""
 
     @pytest.mark.parametrize("start, turn, value, states", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 2_820),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 3_391),
-        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 6_761),
-        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 9_819),
-        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 3_224),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_510),
-        (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_154),
-        (_family("r-graph", 4), Turn.DOMINATOR, 10, 2_157),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 2_059),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 2_640),
+        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 4_728),
+        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 7_451),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 2_920),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_357),
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_022),
+        (_family("r-graph", 4), Turn.DOMINATOR, 10, 1_883),
         # Staller starts; both ends are already dominated.
-        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_338),
+        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_159),
     ], ids=["P20-D", "C20-D", "P22-D", "C22-D", "P20-S", "C20-S",
             "hatted-cycle17-D", "r-graph4-D", "double-prime-path18-S"])
     def test_states_explored(self, start, turn, value, states):
@@ -310,11 +365,11 @@ class TestExplorationPins:
         assert s.states_explored == states
 
     @pytest.mark.parametrize("start, turn, states, followup, moves", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 2_820, 6_792,
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 2_059, 6_005,
          [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_510, 4_903,
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_357, 4_547,
          list(range(20))),
-        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_154, 1_932,
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_022, 1_853,
          list(range(18))),
     ], ids=["P20-D", "C20-S", "hatted-cycle17-D"])
     def test_optimal_first_moves_after_value(self, start, turn, states,
@@ -358,6 +413,43 @@ class TestNewEntryBounds:
     ], ids=["K13-S", "P4-D", "P6-S", "C5-S"])
     def test_one_move_lookahead(self, g, dom, bounds):
         assert self.first_bounds(g, 0, dom) == bounds
+
+    # Searched at k = ceil(U/g), Dominator to move, the packing of
+    # undominated vertices pairwise at distance >= 3 fails the test before
+    # any child is searched.  P_11, {0, 4, 5, 6, 10} undominated: packing
+    # {0, 4, 10}, ceil(5/3) = 2.  P_15, {0, 4, 8, 12, 13, 14}: packing
+    # {0, 4, 8, 12}, ceil(6/3) = 2, where a searched fail alone would
+    # store lo = 3.
+    @pytest.mark.parametrize("n, undominated, k, lo", [
+        (11, [0, 4, 5, 6, 10], 2, 3),
+        (15, [0, 4, 8, 12, 13, 14], 2, 4),
+    ], ids=["P11", "P15"])
+    def test_packing_raises_lo(self, n, undominated, k, lo):
+        g = path_graph(n)
+        dominated = g.full_mask & ~mask_of(undominated)
+        assert self.first_bounds(g, dominated, True)[0] == k
+        s = Solver(g)
+        assert not s._test(dominated, True, k)
+        assert s._table_d[dominated][:2] == (lo, lo)
+        assert s.states_explored == 1
+        assert naive_game_value(g, dominated, True) == lo
+
+    def test_searched_bounds_bracket_brute_force(self):
+        # One searched test at each k inside a new state's first bounds,
+        # which is where the packing bound is computed.
+        rng = random.Random(37)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
+            for dominated in range(g.full_mask):
+                for dom in (True, False):
+                    value = naive_game_value(g, dominated, dom)
+                    first_lo, first_hi = self.first_bounds(g, dominated, dom)
+                    for k in range(first_lo, first_hi):
+                        s = Solver(g)
+                        assert s._test(dominated, dom, k) == (value <= k)
+                        lo, hi, _ = (s._table_d if dom else s._table_s)[dominated]
+                        assert lo <= value <= hi
 
 
 class TestSolverInvariants:
