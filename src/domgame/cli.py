@@ -13,8 +13,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from . import harness
-from .families import (FAMILY_NAMES, FamilySpec, cycle_graph, family_order,
-                       generate, path_graph)
+from .families import FAMILY_NAMES, FamilySpec, family_order, generate
 from .graph import (GraphError, PartiallyDominatedGraph, bits, format_edge_list,
                     mask_of, non_edges, parse_edge_list)
 from .solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
@@ -83,7 +82,7 @@ def _build_parser():
             f.add_argument(option, type=type(default), default=default)
 
     s = sub.add_parser("add-edges", help="enumerate edge additions to a path/cycle")
-    s.add_argument("--base", choices=("path", "cycle"), required=True)
+    s.add_argument("--base", choices=harness.EDGE_BASES, required=True)
     s.add_argument("--k", type=int, required=True)
     order = s.add_mutually_exclusive_group()
     order.add_argument("--n", type=int, default=None,
@@ -258,7 +257,7 @@ def _cmd_add_edges(args, cfg, out):
             print(f"warning: full range up to n={cap}; this can take hours",
                   file=sys.stderr)
         # From the least order with at least k non-edges to add.
-        base = path_graph if args.base == "path" else cycle_graph
+        base = harness.EDGE_BASES[args.base]
         orders = [n for n in range(4, cap + 1)
                   if len(non_edges(base(n))) >= args.k]
     status = 0

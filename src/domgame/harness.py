@@ -163,6 +163,9 @@ def _solve_all(instances, cfg, workers, key=canonical_key):
 # Edge-addition sweeps
 # ---------------------------------------------------------------------------
 
+EDGE_BASES = {"path": path_graph, "cycle": cycle_graph}
+
+
 def enumerate_edge_additions(base: str, n: int, k: int, *,
                              config: SolverConfig = SolverConfig(),
                              symmetry: bool = True,
@@ -175,13 +178,14 @@ def enumerate_edge_additions(base: str, n: int, k: int, *,
     back to every labeled edge set, so the report is identical either
     way.  With symmetry off, every labeled edge set is solved on its own.
     """
-    if base not in ("path", "cycle"):
-        raise ValueError(f"base must be 'path' or 'cycle', got {base!r}")
+    if base not in EDGE_BASES:
+        raise ValueError(f"base must be {' or '.join(map(repr, EDGE_BASES))}, "
+                         f"got {base!r}")
     if k < 1:
         raise ValueError("need at least one edge to add")
     config.check_order(n)
     t0 = time.perf_counter()
-    g = path_graph(n) if base == "path" else cycle_graph(n)
+    g = EDGE_BASES[base](n)
     if symmetry:
         generators, key = canonical_form(g)[1], canonical_key
     else:

@@ -11,10 +11,12 @@ move's (on Dominator's turn) or contains another move's (on Staller's).
 By the Continuation Principle (Kinnersley, West & Zamani 2013; Brešar,
 Klavžar & Rall 2010) a larger dominated set never lengthens the game, for
 either player to move, so a skipped move is never better for its player
-than a kept one.  Stored bounds of skipped children are still read.
-`optimal_first_moves` decides each child from its stored bounds, or by the
-same principle from a non-optimal child it lies inside (Dominator) or
-around (Staller), and solves only the children neither decides.
+than a kept one.  Staller's filter is Dominator's on complements (a set
+contains another iff its complement lies inside the other's), so one
+inclusion test serves both turns.  Stored bounds of skipped children are
+still read.  `optimal_first_moves` decides each child from its stored
+bounds, or by the same test from a non-optimal child, and solves only the
+children neither decides.
 
 A new state's bounds come from its sorted children: with U undominated
 vertices, largest gain g and smallest m, Dominator to move gives
@@ -23,16 +25,16 @@ When those leave a new Dominator state to be searched, lo is raised to the
 size of a greedy packing: undominated vertices pairwise at distance >= 3,
 of which one move dominates at most one.
 
-`_test` makes two passes over a state's children, largest gain first on
-Dominator's turn and smallest first on Staller's: the transposition pass
-stops at the first child whose stored bounds decide the test, and the
-search pass recurses into the kept children and stops at the first result
-that decides it.  MTD(f) revisits a state at every probe of k, so each
-state's ordered children are sorted once per `Solver` and kept in the
-state's one table entry, (lo, hi, children).  Entries and children are
-tuples, which the garbage collector stops tracking once it sees they hold
-only ints; kept lists stay tracked, so full collections come more often
-and take longer as the tables grow.
+`_test` makes one pair of passes over a state's children for both
+players, largest gain first on Dominator's turn and smallest first on
+Staller's: the transposition pass stops at the first child whose stored
+bounds decide the test, and the search pass recurses into the kept
+children and stops at the first result that decides it.  MTD(f) revisits
+a state at every probe of k, so each state's ordered children are sorted
+once per `Solver` and kept in the state's one table entry, (lo, hi,
+children).  Entries and children are tuples, which the garbage collector
+stops tracking once it sees they hold only ints; kept lists stay tracked,
+so full collections come more often and take longer as the tables grow.
 """
 
 import enum
@@ -166,53 +168,37 @@ class Solver:
             if not lo <= k < hi:
                 return k >= hi
         if lo <= k < hi:
-            # Dominator succeeds at the first child that ends within k - 1
-            # moves, Staller fails at the first that does not.  First look
-            # for a child whose stored bounds already answer (an unstored
-            # child answers neither, as k >= lo >= 1), then search the
-            # extremal children only: a child is skipped when an earlier
-            # kept child contains it (Dominator, largest first) or is
-            # contained in it (Staller, smallest first).  The kept
-            # children suffice: a child strictly inside (around) another
-            # comes later in `order`, and a skipped child is inside
-            # (around) a kept one.
+            # The test's answer is `dom` if some child's answer ("ends
+            # within k - 1 moves") is `dom`, i.e. if the player to move has
+            # a winning move, and `not dom` otherwise.  First look for a
+            # child whose stored bounds answer (hi < k for Dominator,
+            # lo >= k for Staller; an unstored child answers neither, as
+            # k >= lo >= 1), then search the extremal children only: a
+            # child is skipped when, under `flip`, it lies inside an
+            # earlier kept child.  The kept children suffice: a child
+            # strictly inside (around) another comes later in `order`,
+            # and a skipped child is inside (around) a kept one.
             get = child.get
-            if dom:
-                ok = False
-                for t in order:
-                    t_entry = get(t)
-                    if t_entry is not None and t_entry[1] < k:
-                        ok = True
-                        break
-                else:
-                    kept = []
-                    for t in order:
-                        for u in kept:
-                            if t | u == u:
-                                break
-                        else:
-                            kept.append(t)
-                            if self._test(t, False, k - 1):
-                                ok = True
-                                break
+            ok = not dom
+            for t in order:
+                t_entry = get(t)
+                if t_entry is not None and (t_entry[1] < k if dom
+                                            else t_entry[0] >= k):
+                    ok = dom
+                    break
             else:
-                ok = True
+                flip = 0 if dom else self._full
+                kept = []
                 for t in order:
-                    t_entry = get(t)
-                    if t_entry is not None and t_entry[0] >= k:
-                        ok = False
-                        break
-                else:
-                    kept = []
-                    for t in order:
-                        for u in kept:
-                            if t | u == t:
-                                break
-                        else:
-                            kept.append(t)
-                            if not self._test(t, True, k - 1):
-                                ok = False
-                                break
+                    tc = t ^ flip
+                    for u in kept:
+                        if tc | u == u:
+                            break
+                    else:
+                        kept.append(tc)
+                        if self._test(t, not dom, k - 1) is dom:
+                            ok = dom
+                            break
             lo, hi = (lo, k) if ok else (k + 1, hi)
         table[s] = (lo, hi, order)
         if len(table) + len(child) > self.config.memo_limit:
@@ -241,27 +227,28 @@ class Solver:
         table, child = ((self._table_d, self._table_s) if dom
                         else (self._table_s, self._table_d))
         # A move is optimal iff its child's value is goal = target - 1.  Walk
-        # the children in the search's order, largest first for Dominator
-        # and smallest first for Staller: by the Continuation Principle a
-        # child inside (Dominator) or around (Staller) a non-optimal child
-        # is itself non-optimal, so only children that neither stored
-        # bounds nor an earlier non-optimal child decide are solved.
+        # the children in the search's order: by the Continuation Principle
+        # a child inside (Dominator) or around (Staller) a non-optimal child
+        # is itself non-optimal, which `_test`'s inclusion test under `flip`
+        # finds.  Only children that neither stored bounds nor an earlier
+        # non-optimal child decide are solved.
         goal = target - 1
         unknown = (0, self.graph.n, ())
+        flip = 0 if dom else self._full
         worse = []
         for t in table[dominated][2]:
             lo, hi, _ = child.get(t, unknown)
-            if lo <= goal <= hi and not any(t | u == (u if dom else t)
-                                            for u in worse):
+            tc = t ^ flip
+            if lo <= goal <= hi and not any(tc | u == u for u in worse):
                 # Dominator's children last at least goal moves and
                 # Staller's at most goal, so hi (lo) == goal decides.
                 if ((hi if dom else lo) == goal
                         or self.game_value(t, turn.other()) == goal):
                     continue
-            worse.append(t)
+            worse.append(tc)
         worse = set(worse)
         return sum(1 << v for v in bits(moves)
-                   if dominated | self.graph.closed[v] not in worse)
+                   if (dominated | self.graph.closed[v]) ^ flip not in worse)
 
 
 def domination_number(g: Graph, config: SolverConfig = SolverConfig()) -> int:

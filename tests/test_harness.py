@@ -165,6 +165,18 @@ class TestEnumerateEdgeAdditions:
         with pytest.raises(ValueError):
             harness.enumerate_edge_additions("tree", 8, 2)
 
+    def test_unknown_base_refused_before_any_work(self, monkeypatch):
+        calls = []
+        for name in harness.EDGE_BASES:
+            monkeypatch.setitem(harness.EDGE_BASES, name,
+                                lambda n, name=name: calls.append(name))
+        monkeypatch.setattr(harness, "add_edges", lambda *a: calls.append("add_edges"))
+        monkeypatch.setattr(harness, "_solve_all", lambda *a: calls.append("solve"))
+        with pytest.raises(ValueError) as exc:
+            harness.enumerate_edge_additions("star", 6, 1)
+        assert str(exc.value) == "base must be 'path' or 'cycle', got 'star'"
+        assert calls == []
+
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError):
             harness.enumerate_edge_additions("path", 30, 2)
