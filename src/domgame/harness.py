@@ -89,6 +89,14 @@ def _sweep_one(args):
 _pool = None
 
 
+def _sweep_one_or_error(job):
+    """`_sweep_one`, or the exception it raised."""
+    try:
+        return _sweep_one(job)
+    except Exception as exc:
+        return exc
+
+
 def _pool_map(jobs, workers, chunksize):
     """`_sweep_one` of every job, in order, on the pool of `workers`
     processes, kept or fresh as `_solve_all` describes."""
@@ -99,7 +107,18 @@ def _pool_map(jobs, workers, chunksize):
     if not kept:
         _pool = workers, ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(_pool[1].map(_sweep_one, jobs, chunksize=chunksize))
+        # A job's exception comes back as its result, so it is raised here
+        # with the result iterator still open.  Closing that iterator
+        # cancels the pending futures, and the pool's thread fails (Python
+        # 3.11) on setting an exception on a cancelled future when its
+        # workers end; `results` keeps it open until after the shutdown.
+        results = _pool[1].map(_sweep_one_or_error, jobs, chunksize=chunksize)
+        solved = []
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            solved.append(result)
+        return solved
     except BaseException as exc:
         # A pool that breaks terminates its other workers, so this shutdown
         # cannot wait on one blocked on the dead worker's queue lock.  Any

@@ -3,17 +3,19 @@
 Dominator minimizes and Staller maximizes the total number of moves; every
 move must newly dominate at least one vertex.  A game value is the least k
 for which "does the game from this (dominated bitmask, turn) end within k
-moves?" holds, answered by alpha-beta with a per-turn table of (lo, hi)
-bounds kept across queries: MTD(f)'s memory-enhanced test (Plaat et al. 1996).
+moves?" holds, answered by alpha-beta with one table of (lo, hi) bounds
+kept across queries: MTD(f)'s memory-enhanced test (Plaat et al. 1996).
+The table's key for a dominated set s is s with Dominator to move and ~s
+(a negative int) with Staller.
 
 The search skips every move whose dominated set is contained in another
 move's (on Dominator's turn) or contains another move's (on Staller's).
 By the Continuation Principle (Kinnersley, West & Zamani 2013; Brešar,
 Klavžar & Rall 2010) a larger dominated set never lengthens the game, for
 either player to move, so a skipped move is never better for its player
-than a kept one.  Staller's filter is Dominator's on complements (a set
-contains another iff its complement lies inside the other's), so one
-inclusion test serves both turns.  Stored bounds of skipped children are
+than a kept one.  A set contains another iff its complement lies inside
+the other's, so on keys the two filters are one test: skip a child whose
+key contains a kept child's key.  Stored bounds of skipped children are
 still read.  `optimal_first_moves` decides each child from its stored
 bounds, or by the same test from a non-optimal child, and solves only the
 children neither decides.
@@ -32,9 +34,10 @@ bounds decide the test, and the search pass recurses into the kept
 children and stops at the first result that decides it.  MTD(f) revisits
 a state at every probe of k, so each state's ordered children are sorted
 once per `Solver` and kept in the state's one table entry, (lo, hi,
-children).  Entries and children are tuples, which the garbage collector
-stops tracking once it sees they hold only ints; kept lists stay tracked,
-so full collections come more often and take longer as the tables grow.
+children's keys).  Entries and children are tuples, which the garbage
+collector stops tracking once it sees they hold only ints; kept lists stay
+tracked, so full collections come more often and take longer as the table
+grows.
 """
 
 import enum
@@ -88,48 +91,53 @@ def _check_turn(turn) -> None:
 
 
 class Solver:
-    """One graph; per turn, one table entry per stored state: its bounds
-    and its ordered children.  Not thread-shared."""
+    """One graph; one table entry per stored (state, turn): its bounds and
+    its children's keys in the order the player to move tries them.  Not
+    thread-shared."""
 
     def __init__(self, graph: Graph, config: SolverConfig = SolverConfig()):
         config.check_order(graph.n)
         self.graph = graph
         self.config = config
         self._full = graph.full_mask
-        # Per turn, state -> (lo, hi, its children in the order that turn
-        # tries them).
-        self._table_d = {}
-        self._table_s = {}
+        # key -> (lo, hi, its children's keys in the order that turn tries
+        # them).  A dominated set s is keyed s with Dominator to move and
+        # ~s (negative) with Staller.
+        self._table = {}
 
     @property
     def states_explored(self) -> int:
-        return len(self._table_d) + len(self._table_s)
+        return len(self._table)
 
     def game_value(self, dominated: int = 0, turn: Turn = Turn.DOMINATOR) -> int:
         if dominated & ~self._full:
             raise ValueError("dominated set contains ids outside the graph")
         _check_turn(turn)
-        dom = turn is Turn.DOMINATOR
+        if dominated == self._full:
+            return 0
+        key = dominated if turn is Turn.DOMINATOR else ~dominated
         k = 0
-        while not self._test(dominated, dom, k):
-            k = (self._table_d if dom else self._table_s)[dominated][0]
+        while not self._test(key, k):
+            k = self._table[key][0]
         return k
 
-    def _test(self, s: int, dom: bool, k: int) -> bool:
-        """Whether the game from s (Dominator to move iff dom) ends within
-        k moves.  Stores s's entry (lo, hi, children) with the bounds
-        tightened: lo > k after a fail."""
-        if s == self._full:
+    def _test(self, key: int, k: int) -> bool:
+        """Whether the game from the state keyed `key` ends within k moves.
+        Stores its entry (lo, hi, children) with the bounds tightened:
+        lo > k after a fail."""
+        # Only Dominator's full key can be reached here: a Dominator state
+        # with a move that dominates everything has bounds [1, 1] and
+        # searches nothing, and `game_value` answers the full state itself.
+        if key == self._full:
             return k >= 0
-        if dom:
-            table, child = self._table_d, self._table_s
-        else:
-            table, child = self._table_s, self._table_d
-        entry = table.get(s)
+        dom = key >= 0
+        table = self._table
+        entry = table.get(key)
         if entry is None:
+            s = key if dom else ~key
             # Dominator tries big gains first, Staller small ones.
-            order = tuple(sorted({s | r for r in self.graph.closed} - {s},
-                                 key=int.bit_count, reverse=dom))
+            order = sorted({s | r for r in self.graph.closed} - {s},
+                           key=int.bit_count, reverse=dom)
             # Every move dominates at least one undominated vertex and at
             # most the largest gain g available now; gains only shrink.
             # The first child (largest gain for Dominator, smallest for
@@ -141,9 +149,13 @@ class Solver:
             rest = (self._full & ~order[0]).bit_count()
             if dom:
                 lo = -(-undominated // (undominated - rest))
+                # Staller's states are keyed by complement; converted
+                # after the sort, so equal gains keep their order.
+                order = [~t for t in order]
             else:
                 g = order[-1].bit_count() - s.bit_count()
                 lo = 1 - (-rest // g)
+            order = tuple(order)
             hi = 1 + rest
             if dom and lo <= k < hi:
                 # Undominated vertices pairwise at distance >= 3 need a
@@ -174,38 +186,37 @@ class Solver:
             # child whose stored bounds answer (hi < k for Dominator,
             # lo >= k for Staller; an unstored child answers neither, as
             # k >= lo >= 1), then search the extremal children only: a
-            # child is skipped when, under `flip`, it lies inside an
-            # earlier kept child.  The kept children suffice: a child
+            # child is skipped when its key contains an earlier kept
+            # child's key.  For Staller that is a child around a kept one;
+            # for Dominator, whose children are keyed by complement, a
+            # child inside a kept one.  The kept children suffice: a child
             # strictly inside (around) another comes later in `order`,
             # and a skipped child is inside (around) a kept one.
-            get = child.get
+            get = table.get
             ok = not dom
-            for t in order:
-                t_entry = get(t)
-                if t_entry is not None and (t_entry[1] < k if dom
-                                            else t_entry[0] >= k):
+            for c in order:
+                c_entry = get(c)
+                if c_entry is not None and (c_entry[1] < k if dom
+                                            else c_entry[0] >= k):
                     ok = dom
                     break
             else:
-                flip = 0 if dom else self._full
                 kept = []
-                for t in order:
-                    tc = t ^ flip
+                for c in order:
                     for u in kept:
-                        if tc | u == u:
+                        if c & u == u:
                             break
                     else:
-                        kept.append(tc)
-                        if self._test(t, not dom, k - 1) is dom:
+                        kept.append(c)
+                        if self._test(c, k - 1) is dom:
                             ok = dom
                             break
             lo, hi = (lo, k) if ok else (k + 1, hi)
-        table[s] = (lo, hi, order)
-        if len(table) + len(child) > self.config.memo_limit:
+        table[key] = (lo, hi, order)
+        if len(table) > self.config.memo_limit:
             # Start empty after a failure, so the next query on this
             # Solver does not fail on its first store.
             table.clear()
-            child.clear()
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
 
@@ -224,31 +235,28 @@ class Solver:
             raise ValueError("no legal moves: state is fully dominated")
         target = self.game_value(dominated, turn)
         dom = turn is Turn.DOMINATOR
-        table, child = ((self._table_d, self._table_s) if dom
-                        else (self._table_s, self._table_d))
         # A move is optimal iff its child's value is goal = target - 1.  Walk
-        # the children in the search's order: by the Continuation Principle
-        # a child inside (Dominator) or around (Staller) a non-optimal child
-        # is itself non-optimal, which `_test`'s inclusion test under `flip`
-        # finds.  Only children that neither stored bounds nor an earlier
-        # non-optimal child decide are solved.
+        # the children's keys in the search's order: by the Continuation
+        # Principle a child inside (Dominator) or around (Staller) a
+        # non-optimal child is itself non-optimal, which `_test`'s
+        # inclusion test on keys finds.  Only children that neither stored
+        # bounds nor an earlier non-optimal child decide are solved.
         goal = target - 1
         unknown = (0, self.graph.n, ())
-        flip = 0 if dom else self._full
+        table = self._table
         worse = []
-        for t in table[dominated][2]:
-            lo, hi, _ = child.get(t, unknown)
-            tc = t ^ flip
-            if lo <= goal <= hi and not any(tc | u == u for u in worse):
+        for c in table[dominated if dom else ~dominated][2]:
+            lo, hi, _ = table.get(c, unknown)
+            if lo <= goal <= hi and not any(c & u == u for u in worse):
                 # Dominator's children last at least goal moves and
                 # Staller's at most goal, so hi (lo) == goal decides.
                 if ((hi if dom else lo) == goal
-                        or self.game_value(t, turn.other()) == goal):
+                        or self.game_value(~c if dom else c, turn.other()) == goal):
                     continue
-            worse.append(tc)
-        worse = set(worse)
+            worse.append(c)
+        worse = {~c if dom else c for c in worse}
         return sum(1 << v for v in bits(moves)
-                   if (dominated | self.graph.closed[v]) ^ flip not in worse)
+                   if dominated | self.graph.closed[v] not in worse)
 
 
 def domination_number(g: Graph, config: SolverConfig = SolverConfig()) -> int:

@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
@@ -426,6 +427,19 @@ class TestPool:
                                key=lambda g, d: d)
         assert time.monotonic() - start < 3
         assert self.worker_pids() == []
+
+    def test_failed_batch_raises_in_no_thread(self, monkeypatch):
+        # A job that raises must not leave a future that the pool's manager
+        # thread fails on as it ends the workers: Python 3.11 reported an
+        # InvalidStateError traceback from that thread in about half of
+        # such batches.
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        for _ in range(10):
+            with pytest.raises(MemoLimitExceeded):
+                harness.sweep_family(self.SPECS, workers=2,
+                                     config=SolverConfig(memo_limit=5))
+        assert [args.exc_type for args in raised] == []
 
 
 class TestCheckREquality:

@@ -28,6 +28,18 @@ def _random_graph(rng, n, p):
     return make_graph(n, edges)
 
 
+def _key(state, dom):
+    """The key of `Solver._table` for the dominated set `state`, Dominator
+    to move iff dom."""
+    return state if dom else ~state
+
+
+def _state(key):
+    """The dominated set a `Solver._table` key stands for, and whether
+    Dominator is to move."""
+    return (key, True) if key >= 0 else (~key, False)
+
+
 def _record_solves(monkeypatch):
     """The list of dominated sets `Solver.game_value` is called on from
     now on."""
@@ -105,12 +117,12 @@ class TestGameValue:
         solver = Solver(path_graph(14), SolverConfig(memo_limit=50))
         with pytest.raises(MemoLimitExceeded):
             solver.game_value()
-        assert not (solver._table_d or solver._table_s)
+        assert not solver._table
         assert solver.game_value(solver.graph.full_mask & ~1) == 1
 
     def test_children_kept_only_for_stored_states(self):
-        # Each turn's table entry keeps the state's children in the order
-        # that turn tries them.
+        # Each table entry keeps the keys of the state's children in the
+        # order the player to move tries them.
         rng = random.Random(29)
         for _ in range(10):
             g = _random_graph(rng, 11, 0.3)
@@ -118,12 +130,12 @@ class TestGameValue:
             for turn in (Turn.DOMINATOR, Turn.STALLER, Turn.DOMINATOR):
                 if s.game_value(0, turn):
                     s.optimal_first_moves(0, turn)
-                for table, dom in ((s._table_d, True), (s._table_s, False)):
-                    for state, (_, _, order) in table.items():
-                        assert order == tuple(sorted(
-                            {state | r for r in g.closed} - {state},
-                            key=int.bit_count, reverse=dom))
-            assert s._table_d and s._table_s
+                for key, (_, _, order) in s._table.items():
+                    state, dom = _state(key)
+                    assert order == tuple(_key(t, not dom) for t in sorted(
+                        {state | r for r in g.closed} - {state},
+                        key=int.bit_count, reverse=dom))
+            assert {key >= 0 for key in s._table} == {True, False}
 
     def test_table_entries_untracked_by_gc(self):
         # Entries hold only ints and tuples of ints, so the collector stops
@@ -133,8 +145,8 @@ class TestGameValue:
         s.game_value(0, Turn.STALLER)
         gc.collect()
         gc.collect()
-        entries = [*s._table_d.values(), *s._table_s.values()]
-        assert s._table_d and s._table_s
+        entries = list(s._table.values())
+        assert {key >= 0 for key in s._table} == {True, False}
         assert not any(gc.is_tracked(entry) for entry in entries)
 
     @pytest.mark.parametrize("call", [
@@ -151,6 +163,44 @@ class TestGameValue:
             call(s)
         assert s.game_value(0, Turn.DOMINATOR) == 1
         assert s.game_value(0, Turn.STALLER) == 2
+
+
+class TestOneTable:
+    """Both turns share one table: the dominated set s is keyed s with
+    Dominator to move and ~s with Staller."""
+
+    @pytest.mark.parametrize("g, d_value, s_value", [
+        (path_graph(11), 5, 6),
+        (cycle_graph(10), 5, 4),
+    ], ids=["P11", "C10"])
+    def test_both_starts_store_two_entries(self, g, d_value, s_value):
+        s = Solver(g)
+        assert s.game_value(0, Turn.DOMINATOR) == d_value
+        assert s.game_value(0, Turn.STALLER) == s_value
+        # Each entry holds its own turn's exact value.
+        assert s._table[0][:2] == (d_value, d_value)
+        assert s._table[~0][:2] == (s_value, s_value)
+
+    def test_states_explored_counts_the_table(self):
+        s = Solver(cycle_graph(12))
+        for turn in Turn:
+            s.game_value(0, turn)
+            assert s.states_explored == len(s._table)
+            s.optimal_first_moves(0, turn)
+            assert s.states_explored == len(s._table)
+        assert {key >= 0 for key in s._table} == {True, False}
+
+    def test_memo_limit_in_staller_solve_empties_dominator_entries(self):
+        g = path_graph(14)
+        start = g.full_mask & ~mask_of(range(6))
+        s = Solver(g, SolverConfig(memo_limit=50))
+        assert s.game_value(start) == 3
+        assert start in s._table
+        with pytest.raises(MemoLimitExceeded):
+            s.game_value(0, Turn.STALLER)
+        assert not s._table
+        assert s.game_value(start, Turn.STALLER) == naive_game_value(g, start, False)
+        assert s.game_value(start) == 3
 
 
 class TestOptimalFirstMoves:
@@ -202,6 +252,20 @@ class TestOptimalFirstMoves:
         assert list(bits(s.optimal_first_moves(0, Turn.STALLER))) == [2, 6]
         assert solved and not {g.closed[1], g.closed[7]} & set(solved)
         assert naive_optimal_first_moves(g, 0, False) == mask_of([2, 6])
+
+    def test_continuation_principle_decides_dominator_children(self,
+                                                               monkeypatch):
+        # The chair, P_4 0-1-2-3 with a leaf 4 at 2, from Dominator's start
+        # (value 2): only 2 ends the game at once.  N[0] lies inside N[1],
+        # which is solved and non-optimal, so N[0] is non-optimal without a
+        # solve.
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        s = Solver(g)
+        assert s.game_value() == 2
+        solved = _record_solves(monkeypatch)
+        assert list(bits(s.optimal_first_moves())) == [2]
+        assert g.closed[1] in solved and g.closed[0] not in solved
+        assert naive_optimal_first_moves(g, 0, True) == mask_of([2])
 
     def test_partial_starts_match_naive(self):
         rng = random.Random(43)
@@ -384,14 +448,15 @@ class TestExplorationPins:
 
 
 class TestNewEntryBounds:
-    """The (lo, hi) a state's entry starts with.  `_test(s, dom, -1)`
-    stores them and searches nothing, since every new lo is at least 1."""
+    """The (lo, hi) a state's entry starts with.  `_test(key, -1)` stores
+    them and searches nothing, since every new lo is at least 1."""
 
     @staticmethod
     def first_bounds(g, dominated, dom):
         s = Solver(g)
-        assert not s._test(dominated, dom, -1)
-        return (s._table_d if dom else s._table_s)[dominated][:2]
+        key = _key(dominated, dom)
+        assert not s._test(key, -1)
+        return s._table[key][:2]
 
     def test_bracket_brute_force(self):
         rng = random.Random(29)
@@ -429,8 +494,8 @@ class TestNewEntryBounds:
         dominated = g.full_mask & ~mask_of(undominated)
         assert self.first_bounds(g, dominated, True)[0] == k
         s = Solver(g)
-        assert not s._test(dominated, True, k)
-        assert s._table_d[dominated][:2] == (lo, lo)
+        assert not s._test(dominated, k)
+        assert s._table[dominated][:2] == (lo, lo)
         assert s.states_explored == 1
         assert naive_game_value(g, dominated, True) == lo
 
@@ -447,8 +512,9 @@ class TestNewEntryBounds:
                     first_lo, first_hi = self.first_bounds(g, dominated, dom)
                     for k in range(first_lo, first_hi):
                         s = Solver(g)
-                        assert s._test(dominated, dom, k) == (value <= k)
-                        lo, hi, _ = (s._table_d if dom else s._table_s)[dominated]
+                        key = _key(dominated, dom)
+                        assert s._test(key, k) == (value <= k)
+                        lo, hi, _ = s._table[key]
                         assert lo <= value <= hi
 
 
@@ -497,18 +563,18 @@ class TestSolverInvariants:
             assert 1 <= gg <= n
 
     def test_table_bounds_bracket_naive_value(self):
-        # Every (lo, hi) stored on either turn's table holds the state's
-        # exact value, whatever line of play first reached the state.
+        # Every (lo, hi) stored for either turn holds the state's exact
+        # value, whatever line of play first reached the state.
         rng = random.Random(53)
         for _ in range(10):
             g = _random_graph(rng, 10, 0.3)
             s = Solver(g)
             s.game_value()
             s.game_value(0, Turn.STALLER)
-            entries = ([(state, entry, True) for state, entry in s._table_d.items()]
-                       + [(state, entry, False) for state, entry in s._table_s.items()])
-            assert len(entries) >= 20 and s._table_d and s._table_s
-            for state, (lo, hi, _), dom in entries:
+            assert len(s._table) >= 20
+            assert {key >= 0 for key in s._table} == {True, False}
+            for key, (lo, hi, _) in s._table.items():
+                state, dom = _state(key)
                 assert lo <= naive_game_value(g, state, dom) <= hi
 
     def test_union_lemma_bound(self):
