@@ -20,12 +20,17 @@ still read.  `optimal_first_moves` decides each child from its stored
 bounds, or by the same test from a non-optimal child, and solves only the
 children neither decides.
 
-A new state's bounds come from its sorted children: with U undominated
-vertices, largest gain g and smallest m, Dominator to move gives
-[ceil(U/g), 1 + U - g] and Staller to move [1 + ceil((U - m)/g), 1 + U - m].
-When those leave a new Dominator state to be searched, lo is raised to the
-size of a greedy packing: undominated vertices pairwise at distance >= 3,
-of which one move dominates at most one.
+A new state's bounds come from its sorted children, one rule for both
+players: if the mover's first child (largest gain for Dominator, smallest
+for Staller) leaves `rest` vertices undominated and g is the largest gain,
+the game lasts from 1 + ceil(rest/g) to 1 + rest moves.  For Dominator the
+lower bound is ceil(U/g), with U undominated vertices.  When those leave a
+new Dominator state to be searched, lo is raised to the size of a greedy
+packing: undominated vertices pairwise at distance >= 3, of which one move
+dominates at most one.  The fully dominated state with Dominator to move
+needs no test of its own: it is no Dominator state's child; a Staller
+state skips it, or, when it is the only child, starts at [1, 1] and
+searches nothing; and `game_value` answers it.
 
 `_test` makes one pair of passes over a state's children for both
 players, largest gain first on Dominator's turn and smallest first on
@@ -124,12 +129,13 @@ class Solver:
     def _test(self, key: int, k: int) -> bool:
         """Whether the game from the state keyed `key` ends within k moves.
         Stores its entry (lo, hi, children) with the bounds tightened:
-        lo > k after a fail."""
-        # Only Dominator's full key can be reached here: a Dominator state
-        # with a move that dominates everything has bounds [1, 1] and
-        # searches nothing, and `game_value` answers the full state itself.
-        if key == self._full:
-            return k >= 0
+        lo > k after a fail.
+
+        Never called on the fully dominated state with Dominator to move:
+        a Dominator state's children are Staller keys; a Staller state's
+        full child comes last and contains its first, kept, child, unless
+        it is the only child, whose bounds [1, 1] leave nothing to search;
+        and `game_value` answers the full state itself."""
         dom = key >= 0
         table = self._table
         entry = table.get(key)
@@ -140,41 +146,39 @@ class Solver:
                            key=int.bit_count, reverse=dom)
             # Every move dominates at least one undominated vertex and at
             # most the largest gain g available now; gains only shrink.
-            # The first child (largest gain for Dominator, smallest for
-            # Staller) leaves `rest` vertices undominated.  Dominator can
-            # play it, and no Staller move leaves more, so the game ends
-            # within 1 + rest moves; Staller can play it, so the game
-            # lasts at least 1 + ceil(rest / g).
-            undominated = (self._full & ~s).bit_count()
+            # The mover can play the first child, which leaves `rest`
+            # vertices undominated, and no other move by Staller leaves
+            # more or by Dominator fewer, so the game ends within
+            # 1 + rest moves and lasts at least 1 + ceil(rest / g).  For
+            # Dominator, whose first child is the largest gain, the latter
+            # is ceil(U / g) with U vertices undominated now.
             rest = (self._full & ~order[0]).bit_count()
+            g = (order[0] if dom else order[-1]).bit_count() - s.bit_count()
+            lo = 1 - (-rest // g)
+            hi = 1 + rest
             if dom:
-                lo = -(-undominated // (undominated - rest))
                 # Staller's states are keyed by complement; converted
                 # after the sort, so equal gains keep their order.
                 order = [~t for t in order]
-            else:
-                g = order[-1].bit_count() - s.bit_count()
-                lo = 1 - (-rest // g)
+                if lo <= k < hi:
+                    # Undominated vertices pairwise at distance >= 3 need
+                    # a move each: one move dominates at most one of them.
+                    # Take the lowest undominated vertex, drop every vertex
+                    # within distance 2 of it, repeat.  Computed only where
+                    # the state is searched, and only for Dominator:
+                    # elsewhere it costs more time than the states it saves.
+                    closed = self.graph.closed
+                    m = self._full & ~s
+                    p = 0
+                    while m:
+                        p += 1
+                        near = closed[(m & -m).bit_length() - 1]
+                        while near:
+                            w = near & -near
+                            m &= ~closed[w.bit_length() - 1]
+                            near ^= w
+                    lo = max(lo, p)
             order = tuple(order)
-            hi = 1 + rest
-            if dom and lo <= k < hi:
-                # Undominated vertices pairwise at distance >= 3 need a
-                # move each: one move dominates at most one of them.  Take
-                # the lowest undominated vertex, drop every vertex within
-                # distance 2 of it, repeat.  Computed only where the state
-                # is searched, and only for Dominator: elsewhere it costs
-                # more time than the states it saves.
-                closed = self.graph.closed
-                m = self._full & ~s
-                p = 0
-                while m:
-                    p += 1
-                    near = closed[(m & -m).bit_length() - 1]
-                    while near:
-                        w = near & -near
-                        m &= ~closed[w.bit_length() - 1]
-                        near ^= w
-                lo = max(lo, p)
         else:
             lo, hi, order = entry
             if not lo <= k < hi:

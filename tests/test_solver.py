@@ -7,6 +7,7 @@ import random
 import pytest
 
 from domgame import cli, harness
+from domgame.canon import canonical_key
 from domgame.families import FamilySpec, generate, path_graph, cycle_graph
 from domgame.graph import PartiallyDominatedGraph, make_graph, mask_of, bits
 from domgame.solver import (MemoLimitExceeded, Solver, SolverConfig, Turn,
@@ -544,6 +545,36 @@ class TestSolverInvariants:
                 if start != g.full_mask:
                     assert (s.optimal_first_moves(start, turn)
                             == naive_optimal_first_moves(g, start, dom))
+
+    def test_every_class_up_to_order_6(self, monkeypatch):
+        # Every graph of order <= 6 and every dominated set up to
+        # isomorphism, both turns.  `_test` never sees the fully dominated
+        # state with Dominator to move, so it keeps no check for it.
+        nx = pytest.importorskip("networkx")
+        full_keys = []
+        _test = Solver._test
+
+        def recording_test(solver, key, k):
+            if key == solver.graph.full_mask:
+                full_keys.append(key)
+            return _test(solver, key, k)
+
+        monkeypatch.setattr(Solver, "_test", recording_test)
+        classes = 0
+        for G in nx.graph_atlas_g():
+            if G.number_of_nodes() > 6:
+                continue
+            g = make_graph(G.number_of_nodes(), list(G.edges()))
+            starts = {canonical_key(g, d): d for d in range(g.full_mask)}
+            classes += len(starts)
+            for start in starts.values():
+                s = Solver(g)
+                for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
+                    assert s.game_value(start, turn) == naive_game_value(g, start, dom)
+                    assert (s.optimal_first_moves(start, turn)
+                            == naive_optimal_first_moves(g, start, dom))
+        assert classes == 5_550
+        assert full_keys == []
 
     def test_gamma_sandwich(self):
         rng = random.Random(31)
