@@ -90,11 +90,6 @@ def legal_moves(g: Graph, dominated: int) -> int:
     return sum(1 << v for v in range(g.n) if g.closed[v] & ~dominated)
 
 
-def _check_turn(turn) -> None:
-    if not isinstance(turn, Turn):
-        raise ValueError(f"turn must be a Turn, not {turn!r}")
-
-
 class Solver:
     """One graph; one table entry per stored (state, turn): its bounds and
     its children's keys in the order the player to move tries them.  Not
@@ -117,7 +112,8 @@ class Solver:
     def game_value(self, dominated: int = 0, turn: Turn = Turn.DOMINATOR) -> int:
         if dominated & ~self._full:
             raise ValueError("dominated set contains ids outside the graph")
-        _check_turn(turn)
+        if not isinstance(turn, Turn):
+            raise ValueError(f"turn must be a Turn, not {turn!r}")
         if dominated == self._full:
             return 0
         key = dominated if turn is Turn.DOMINATOR else ~dominated
@@ -224,20 +220,11 @@ class Solver:
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
 
-    def value_with_forced_first_move(self, v: int, dominated: int = 0,
-                                     turn: Turn = Turn.DOMINATOR) -> int:
-        _check_turn(turn)
-        g = self.graph
-        if not 0 <= v < g.n or not g.closed[v] & ~dominated:
-            raise ValueError(f"vertex {v} is not a legal move")
-        return 1 + self.game_value(dominated | g.closed[v], turn.other())
-
     def optimal_first_moves(self, dominated: int = 0,
                             turn: Turn = Turn.DOMINATOR) -> int:
-        moves = legal_moves(self.graph, dominated)
-        if not moves:
-            raise ValueError("no legal moves: state is fully dominated")
         target = self.game_value(dominated, turn)
+        if target == 0:
+            raise ValueError("no legal moves: state is fully dominated")
         dom = turn is Turn.DOMINATOR
         # A move is optimal iff its child's value is goal = target - 1.  Walk
         # the children's keys in the search's order: by the Continuation
@@ -259,7 +246,7 @@ class Solver:
                     continue
             worse.append(c)
         worse = {~c if dom else c for c in worse}
-        return sum(1 << v for v in bits(moves)
+        return sum(1 << v for v in bits(legal_moves(self.graph, dominated))
                    if dominated | self.graph.closed[v] not in worse)
 
 

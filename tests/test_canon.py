@@ -6,9 +6,11 @@ import time
 
 import pytest
 
+from domgame.analysis import hamiltonian_endpoints
 from domgame.canon import _refine, canonical_form, canonical_key, edge_set_orbits
 from domgame.families import cycle_graph, path_graph
-from domgame.graph import Graph, make_graph, non_edges
+from domgame.graph import Graph, add_edges, is_connected, make_graph, non_edges
+from domgame.solver import Solver
 
 from helpers import group_closure, naive_edge_set_orbits
 
@@ -262,6 +264,56 @@ class TestEdgeSetOrbits:
         orbits = edge_set_orbits(g, k, canonical_form(g)[1])
         assert len(orbits) == count
         assert sum(map(len, orbits)) == math.comb(len(non_edges(g)), k)
+
+
+def one_edge_levels(n):
+    """Each class of graphs of order n once, with its number of non-edge
+    orbits.  Level m holds the classes with m edges; level m + 1 adds one
+    edge per orbit of Aut(G) on the non-edges of each class G at level m,
+    from the empty graph up, and keeps one child per canonical key.  Every
+    class is reached, as deleting any of its edges gives a parent."""
+    g = make_graph(n, [])
+    level = [(g, canonical_form(g)[1])]
+    while level:
+        children = {}
+        for g, generators in level:
+            orbits = edge_set_orbits(g, 1, generators)
+            yield g, len(orbits)
+            for orbit in orbits:
+                child = add_edges(g, orbit[0])
+                key, child_generators = canonical_form(child)
+                children.setdefault(key, (child, child_generators))
+        level = list(children.values())
+
+
+class TestOneEdgeLevels:
+    # Per order n: classes (OEIS A000088), connected classes (A001349),
+    # traceable classes, children labeled (orbits summed over classes),
+    # and 1/2-graphs (traceable with game value ceil(n/2)).  The orbit
+    # count is the same for any generators of all of Aut(G), so it catches
+    # generators that miss part of the group; the class counts catch
+    # wrong keys.
+    ROWS = {
+        1: (1, 1, 1, 0, 1),
+        2: (2, 1, 1, 1, 1),
+        3: (4, 2, 2, 3, 0),
+        4: (11, 6, 5, 14, 2),
+        5: (34, 21, 18, 74, 2),
+        6: (156, 112, 91, 572, 21),
+        7: (1_044, 853, 734, 6_564, 0),
+    }
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_counts(self, n):
+        classes = connected = traceable = labeled = half = 0
+        for g, orbits in one_edge_levels(n):
+            classes += 1
+            labeled += orbits
+            connected += is_connected(g)
+            if hamiltonian_endpoints(g):
+                traceable += 1
+                half += Solver(g).game_value() == (n + 1) // 2
+        assert (classes, connected, traceable, labeled, half) == self.ROWS[n]
 
 
 @pytest.mark.parametrize("g", [complete(12), make_graph(12, []),

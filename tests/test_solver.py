@@ -70,6 +70,9 @@ class TestLegalMoves:
 
 
 class TestGameValue:
+    def test_k1(self):
+        assert Solver(make_graph(1, [])).game_value() == 1
+
     def test_p11(self):
         assert Solver(path_graph(11)).game_value() == 5
 
@@ -81,6 +84,14 @@ class TestGameValue:
         g = cycle_graph(6)
         assert Solver(g).game_value(g.full_mask) == 0
         assert Solver(g).game_value(g.full_mask, Turn.STALLER) == 0
+
+    def test_dominator_upper_bound(self):
+        # Dominator's best first move is at least as good as any other.
+        g = cycle_graph(7)
+        s = Solver(g)
+        gg = s.game_value()
+        for v in range(7):
+            assert 1 + s.game_value(g.closed[v], Turn.STALLER) >= gg
 
     def test_double_prime_6_staller(self):
         lg = generate(FamilySpec("double-prime-path", {"n": 6}))
@@ -153,9 +164,8 @@ class TestGameValue:
     @pytest.mark.parametrize("call", [
         lambda s: s.game_value(0, "dominator"),
         lambda s: s.optimal_first_moves(0, "dominator"),
-        lambda s: s.value_with_forced_first_move(0, 0, "dominator"),
         lambda s: s.game_value(0, True),
-    ], ids=["game_value", "optimal_first_moves", "forced_first_move", "bool"])
+    ], ids=["game_value", "optimal_first_moves", "bool"])
     def test_turn_must_be_a_turn(self, call):
         # K_{1,3}: Dominator ends the game in one move, Staller's start
         # lasts two; a string turn used to be solved as Staller's start.
@@ -226,6 +236,28 @@ class TestOptimalFirstMoves:
         with pytest.raises(ValueError):
             Solver(g).optimal_first_moves(g.full_mask)
 
+    @pytest.mark.parametrize("dominated, turn, message", [
+        (0b1111, Turn.DOMINATOR, "dominated set contains ids outside the graph"),
+        (0b111, "x", "turn must be a Turn"),
+    ], ids=["outside-graph", "bad-turn"])
+    def test_reports_game_value_errors(self, dominated, turn, message):
+        # The input is checked by `game_value` before the fully dominated
+        # state is refused.
+        with pytest.raises(ValueError, match=message):
+            Solver(path_graph(3)).optimal_first_moves(dominated, turn)
+
+    def test_hatted_cycle_9_on_y(self):
+        lg = generate(FamilySpec("hatted-cycle", {"n": 9}))
+        s = Solver(lg.graph)
+        assert s.game_value() == 5
+        assert s.optimal_first_moves() >> lg.labels["y"] & 1
+
+    def test_r19_vertex_10(self):
+        lg = generate(FamilySpec("r-graph", {"n": 4}))
+        s = Solver(lg.graph)
+        assert s.game_value() == 10
+        assert s.optimal_first_moves() >> 10 & 1
+
     def test_children_decided_without_solving(self, monkeypatch):
         # P_20 from Dominator's start: 20 distinct children, and the stored
         # bounds decide at least one of them, so fewer are solved.
@@ -280,30 +312,6 @@ class TestOptimalFirstMoves:
             for turn, dom in ((Turn.DOMINATOR, True), (Turn.STALLER, False)):
                 assert (s.optimal_first_moves(start, turn)
                         == naive_optimal_first_moves(g, start, dom))
-
-
-class TestForcedFirstMove:
-    def test_hatted_cycle_9_on_y(self):
-        lg = generate(FamilySpec("hatted-cycle", {"n": 9}))
-        assert Solver(lg.graph).value_with_forced_first_move(lg.labels["y"]) == 5
-
-    def test_r19_vertex_10(self):
-        lg = generate(FamilySpec("r-graph", {"n": 4}))
-        assert Solver(lg.graph).value_with_forced_first_move(10) <= 10
-
-    def test_k1(self):
-        assert Solver(make_graph(1, [])).value_with_forced_first_move(0) == 1
-
-    def test_illegal_move_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            Solver(g).value_with_forced_first_move(0, dominated=g.full_mask)
-
-    def test_dominator_upper_bound(self):
-        g = cycle_graph(7)
-        gg = Solver(g).game_value()
-        for v in range(7):
-            assert Solver(g).value_with_forced_first_move(v) >= gg
 
 
 class TestDominationNumber:
