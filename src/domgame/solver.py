@@ -27,22 +27,28 @@ the game lasts from 1 + ceil(rest/g) to 1 + rest moves.  For Dominator the
 lower bound is ceil(U/g), with U undominated vertices.  When those leave a
 new Dominator state to be searched, lo is raised to the size of a greedy
 packing: undominated vertices pairwise at distance >= 3, of which one move
-dominates at most one.  The fully dominated state with Dominator to move
-needs no test of its own: it is no Dominator state's child; a Staller
-state skips it, or, when it is the only child, starts at [1, 1] and
-searches nothing; and `game_value` answers it.
+dominates at most one.  Each greedy step drops the picked vertex's
+distance-2 ball; a `Solver` keeps the ball's complement per vertex,
+computed the first time the packing picks that vertex.  The fully
+dominated state with Dominator to move needs no test of its own: it is no
+Dominator state's child; a Staller state skips it, or, when it is the only
+child, starts at [1, 1] and searches nothing; and `game_value` answers it.
 
 `_test` makes one pair of passes over a state's children for both
 players, largest gain first on Dominator's turn and smallest first on
 Staller's: the transposition pass stops at the first child whose stored
 bounds decide the test, and the search pass recurses into the kept
-children and stops at the first result that decides it.  MTD(f) revisits
-a state at every probe of k, so each state's ordered children are sorted
-once per `Solver` and kept in the state's one table entry, (lo, hi,
-children's keys).  Entries and children are tuples, which the garbage
-collector stops tracking once it sees they hold only ints; kept lists stay
-tracked, so full collections come more often and take longer as the table
-grows.
+children and stops at the first result that decides it.  Children of
+equal gain come in the iteration order of the set they are built in.  On
+Dominator's turn at k the search pass also stops at the first child that
+leaves more than (k - 1) * g vertices undominated: gains only shrink, so
+neither that child nor any later one, which leaves at least as many, ends
+within k - 1 moves.  MTD(f) revisits a state at every probe of k, so each
+state's ordered children are sorted once per `Solver` and kept in the
+state's one table entry, (lo, hi, children's keys).  Entries and children
+are tuples, which the garbage collector stops tracking once it sees they
+hold only ints; kept lists stay tracked, so full collections come more
+often and take longer as the table grows.
 """
 
 import enum
@@ -104,6 +110,9 @@ class Solver:
         # them).  A dominated set s is keyed s with Dominator to move and
         # ~s (negative) with Staller.
         self._table = {}
+        # v -> the vertices farther than 2 from v, filled the first time the
+        # packing bound picks v.
+        self._far = [None] * graph.n
 
     @property
     def states_explored(self) -> int:
@@ -138,8 +147,9 @@ class Solver:
         if entry is None:
             s = key if dom else ~key
             # Dominator tries big gains first, Staller small ones.
-            order = sorted({s | r for r in self.graph.closed} - {s},
-                           key=int.bit_count, reverse=dom)
+            children = {s | r for r in self.graph.closed}
+            children.discard(s)
+            order = sorted(children, key=int.bit_count, reverse=dom)
             # Every move dominates at least one undominated vertex and at
             # most the largest gain g available now; gains only shrink.
             # The mover can play the first child, which leaves `rest`
@@ -163,16 +173,16 @@ class Solver:
                     # within distance 2 of it, repeat.  Computed only where
                     # the state is searched, and only for Dominator:
                     # elsewhere it costs more time than the states it saves.
-                    closed = self.graph.closed
+                    far = self._far
                     m = self._full & ~s
                     p = 0
                     while m:
                         p += 1
-                        near = closed[(m & -m).bit_length() - 1]
-                        while near:
-                            w = near & -near
-                            m &= ~closed[w.bit_length() - 1]
-                            near ^= w
+                        v = (m & -m).bit_length() - 1
+                        b = far[v]
+                        if b is None:
+                            b = far[v] = self._far_from(v)
+                        m &= b
                     lo = max(lo, p)
             order = tuple(order)
         else:
@@ -201,8 +211,21 @@ class Solver:
                     ok = dom
                     break
             else:
+                # On Dominator's turn the children come in falling gain, so
+                # each leaves at least as many vertices undominated as the
+                # one before.  Gains only shrink, so a child that leaves
+                # more than (k - 1) * g, g the first child's gain, cannot
+                # end within k - 1 moves, and no later child can: the
+                # search stops there.  The first child never stops it, as
+                # k >= lo >= ceil(U / g).  A child keyed c = ~t leaves
+                # full & c undominated.
+                full = self._full
+                most = ((k - 1) * ((~order[0]).bit_count() - key.bit_count())
+                        if dom else None)
                 kept = []
                 for c in order:
+                    if dom and (full & c).bit_count() > most:
+                        break
                     for u in kept:
                         if c & u == u:
                             break
@@ -219,6 +242,15 @@ class Solver:
             table.clear()
             raise MemoLimitExceeded(f"tables exceeded {self.config.memo_limit} entries")
         return k >= hi
+
+    def _far_from(self, v: int) -> int:
+        """The vertices farther than 2 from v: the complement of its
+        distance-2 ball."""
+        closed = self.graph.closed
+        ball = 0
+        for w in bits(closed[v]):
+            ball |= closed[w]
+        return self._full & ~ball
 
     def optimal_first_moves(self, dominated: int = 0,
                             turn: Turn = Turn.DOMINATOR) -> int:

@@ -144,9 +144,10 @@ class TestGameValue:
                     s.optimal_first_moves(0, turn)
                 for key, (_, _, order) in s._table.items():
                     state, dom = _state(key)
+                    children = {state | r for r in g.closed}
+                    children.discard(state)
                     assert order == tuple(_key(t, not dom) for t in sorted(
-                        {state | r for r in g.closed} - {state},
-                        key=int.bit_count, reverse=dom))
+                        children, key=int.bit_count, reverse=dom))
             assert {key >= 0 for key in s._table} == {True, False}
 
     def test_table_entries_untracked_by_gc(self):
@@ -406,11 +407,31 @@ class TestExtremalChildren:
         (cycle_graph(20), 3_900),
     ], ids=["P20", "C20"])
     def test_dominator_start_state_ceiling(self, g, ceiling):
-        # Searching every distinct child stores 4 035 (P_20) and 5 217
+        # Searching every distinct child stores 3 997 (P_20) and 5 131
         # (C_20) states.
         s = Solver(g)
         assert s.game_value() == 10
         assert s.states_explored <= ceiling
+
+    def test_futility_stop(self):
+        # P_7 with vertex 3 dominated, Dominator to move at k = 2: the
+        # largest gain is g = 3 (vertex 1 or 5), so a child that leaves
+        # more than (k - 1) * g = 3 of the 6 undominated vertices cannot
+        # end within one more move.  The search stops at the first such
+        # child; without the stop it would search N[3]'s child, which lies
+        # inside neither earlier kept child.
+        g = path_graph(7)
+        dominated = mask_of([3])
+        s = Solver(g)
+        assert not s._test(dominated, 2)
+        order = s._table[dominated][2]
+        left = [(g.full_mask & c).bit_count() for c in order]
+        stop = next(i for i, rest in enumerate(left) if rest > 3)
+        assert left[:stop] == [3, 3]
+        assert all(c in s._table for c in order[:stop])
+        assert not any(c in s._table for c in order[stop:])
+        assert s.states_explored == 3
+        assert s.game_value(dominated) == naive_game_value(g, dominated, True) == 3
 
 
 class TestExplorationPins:
@@ -420,16 +441,16 @@ class TestExplorationPins:
     should leave the search alone must leave them alone too."""
 
     @pytest.mark.parametrize("start, turn, value, states", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 2_059),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 2_640),
-        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 4_728),
-        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 7_451),
-        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 2_920),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_357),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 10, 1_999),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.DOMINATOR, 10, 2_612),
+        (PartiallyDominatedGraph(path_graph(22)), Turn.DOMINATOR, 11, 4_830),
+        (PartiallyDominatedGraph(cycle_graph(22)), Turn.DOMINATOR, 11, 7_353),
+        (PartiallyDominatedGraph(path_graph(20)), Turn.STALLER, 10, 3_069),
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 10, 2_464),
         (_family("hatted-cycle", 17), Turn.DOMINATOR, 9, 1_022),
-        (_family("r-graph", 4), Turn.DOMINATOR, 10, 1_883),
+        (_family("r-graph", 4), Turn.DOMINATOR, 10, 1_971),
         # Staller starts; both ends are already dominated.
-        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_159),
+        (_family("double-prime-path", 18), Turn.STALLER, 10, 1_150),
     ], ids=["P20-D", "C20-D", "P22-D", "C22-D", "P20-S", "C20-S",
             "hatted-cycle17-D", "r-graph4-D", "double-prime-path18-S"])
     def test_states_explored(self, start, turn, value, states):
@@ -438,11 +459,11 @@ class TestExplorationPins:
         assert s.states_explored == states
 
     @pytest.mark.parametrize("start, turn, states, followup, moves", [
-        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 2_059, 6_005,
+        (PartiallyDominatedGraph(path_graph(20)), Turn.DOMINATOR, 1_999, 5_795,
          [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]),
-        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_357, 4_547,
+        (PartiallyDominatedGraph(cycle_graph(20)), Turn.STALLER, 2_464, 4_481,
          list(range(20))),
-        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_022, 1_853,
+        (_family("hatted-cycle", 17), Turn.DOMINATOR, 1_022, 1_864,
          list(range(18))),
     ], ids=["P20-D", "C20-S", "hatted-cycle17-D"])
     def test_optimal_first_moves_after_value(self, start, turn, states,
@@ -507,6 +528,69 @@ class TestNewEntryBounds:
         assert s._table[dominated][:2] == (lo, lo)
         assert s.states_explored == 1
         assert naive_game_value(g, dominated, True) == lo
+
+    @staticmethod
+    def rebuilt_packing(g, dominated):
+        """The greedy packing with each distance-2 ball rebuilt from
+        `closed` at every pick: the reference for the cached balls."""
+        m = g.full_mask & ~dominated
+        p = 0
+        while m:
+            p += 1
+            near = g.closed[(m & -m).bit_length() - 1]
+            while near:
+                w = near & -near
+                m &= ~g.closed[w.bit_length() - 1]
+                near ^= w
+        return p
+
+    def test_cached_balls_are_distance_2_complements(self):
+        rng = random.Random(43)
+        filled = 0
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            g = _random_graph(rng, n, rng.uniform(0.1, 0.4))
+            s = Solver(g)
+            s.game_value()
+            s.game_value(0, Turn.STALLER)
+            for v, far in enumerate(s._far):
+                if far is None:
+                    continue
+                filled += 1
+                ball = {v}
+                for _ in range(2):
+                    ball |= {w for u in ball for w in bits(g.closed[u])}
+                assert far == g.full_mask & ~mask_of(ball)
+        assert filled >= 100
+
+    def test_packing_matches_rebuilt_balls(self):
+        # A new Dominator state searched at k starts at lo = max(ceil(U/g),
+        # packing).  Tested at k = p - 1 when the packing p is the larger,
+        # the state stores (p, hi) and searches nothing; tested at
+        # k = ceil(U/g) otherwise, it searches.
+        rng = random.Random(47)
+        raised = searched = 0
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            g = _random_graph(rng, n, rng.uniform(0.1, 0.4))
+            dominated = rng.getrandbits(n) & rng.getrandbits(n)
+            if dominated == g.full_mask:
+                continue
+            first_lo, first_hi = self.first_bounds(g, dominated, True)
+            p = self.rebuilt_packing(g, dominated)
+            k = p - 1 if p > first_lo else first_lo
+            if not first_lo <= k < first_hi:
+                continue
+            s = Solver(g)
+            s._test(dominated, k)
+            if p > first_lo:
+                raised += 1
+                assert s._table[dominated][:2] == (p, first_hi)
+                assert s.states_explored == 1
+            else:
+                searched += 1
+                assert s.states_explored > 1
+        assert raised >= 100 and searched >= 100
 
     def test_searched_bounds_bracket_brute_force(self):
         # One searched test at each k inside a new state's first bounds,
